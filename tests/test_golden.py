@@ -1,0 +1,171 @@
+"""Golden corpus: the CLI's stdout, exit codes, one trace file and one sweep CSV, byte for byte.
+
+The files under ``tests/golden/`` were recorded from the CLI and are the
+"same outputs" contract for refactors: a change that alters any byte here
+changes behaviour.  The kundu cases cover every fill stage of
+``kundu_realize``: greedy (``4,4,4,4,4,4`` k=4), circulant (``2,2,2,2,2,2``
+k=1), the exact gadget (``6,6,5,5,5,5,5,5`` k=4), the two-switch hill-climb
+(``4,4,4,4,2,2`` k=1 at seeds 0 and 3) and exhaustive backtracking
+(``7,7,7,5,5,5,5,3`` k=1).
+
+To re-record after a deliberate output change, from the repository root:
+``PYTHONPATH=src python -m tests.test_golden``.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from factorpack.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Per-run paths substituted into argv.
+TRACE = "{trace}"
+REPORT = "{report}"
+CERT = str(GOLDEN / "half-k-5x6-k5.out")
+TAMPERED = str(GOLDEN / "input-tampered-cert.json")
+
+# (name, argv, exit code); each case's stdout is golden/<name>.out.
+CASES = [
+    # kundu: one case per fill stage, both formats
+    ("kundu-greedy", ["kundu", "--pi", "4,4,4,4,4,4", "--k", "4"], 0),
+    ("kundu-greedy-text", ["kundu", "--pi", "4,4,4,4,4,4", "--k", "4", "--format", "text"], 0),
+    ("kundu-circulant", ["kundu", "--pi", "2,2,2,2,2,2", "--k", "1"], 0),
+    ("kundu-circulant-text", ["kundu", "--pi", "2,2,2,2,2,2", "--k", "1", "--format", "text"], 0),
+    ("kundu-gadget", ["kundu", "--pi", "6,6,5,5,5,5,5,5", "--k", "4"], 0),
+    ("kundu-gadget-text", ["kundu", "--pi", "6,6,5,5,5,5,5,5", "--k", "4", "--format", "text"], 0),
+    ("kundu-hillclimb-seed0", ["kundu", "--pi", "4,4,4,4,2,2", "--k", "1", "--seed", "0"], 0),
+    ("kundu-hillclimb-seed0-text",
+     ["kundu", "--pi", "4,4,4,4,2,2", "--k", "1", "--seed", "0", "--format", "text"], 0),
+    ("kundu-hillclimb-seed3", ["kundu", "--pi", "4,4,4,4,2,2", "--k", "1", "--seed", "3"], 0),
+    ("kundu-exhaustive", ["kundu", "--pi", "7,7,7,5,5,5,5,3", "--k", "1"], 0),
+    ("kundu-exhaustive-text",
+     ["kundu", "--pi", "7,7,7,5,5,5,5,3", "--k", "1", "--format", "text"], 0),
+    ("kundu-unsorted", ["kundu", "--pi", "3,4,4,3,4,4", "--k", "3"], 0),
+    ("kundu-k0", ["kundu", "--pi", "2,2,1,1", "--k", "0"], 0),
+    ("kundu-odd-n-text", ["kundu", "--pi", "2,2,2,2,2", "--k", "2", "--format", "text"], 0),
+    ("kundu-not-graphic", ["kundu", "--pi", "3,3,1,1", "--k", "1"], 1),
+    ("kundu-minus-k-not-graphic", ["kundu", "--pi", "2,2,1,1", "--k", "2"], 2),
+    # four-ones
+    ("four-ones-5x6-k5", ["four-ones", "--pi", "5,5,5,5,5,5", "--k", "5", "--seed", "7"], 0),
+    ("four-ones-5x6-k5-text",
+     ["four-ones", "--pi", "5,5,5,5,5,5", "--k", "5", "--seed", "7", "--format", "text"], 0),
+    ("four-ones-3x4-k3", ["four-ones", "--pi", "3,3,3,3", "--k", "3"], 0),
+    ("four-ones-mixed", ["four-ones", "--pi", "5,5,4,4,3,3", "--k", "3", "--seed", "9"], 0),
+    ("four-ones-mixed-text",
+     ["four-ones", "--pi", "5,5,4,4,3,3", "--k", "3", "--seed", "9", "--format", "text"], 0),
+    ("four-ones-gadget", ["four-ones", "--pi", "6,6,5,5,5,5,5,5", "--k", "4"], 0),
+    ("four-ones-hillclimb", ["four-ones", "--pi", "4,4,4,4,2,2", "--k", "1", "--seed", "3"], 0),
+    ("four-ones-exhaustive", ["four-ones", "--pi", "7,7,7,5,5,5,5,3", "--k", "1"], 0),
+    ("four-ones-unsorted-text",
+     ["four-ones", "--pi", "3,5,5,4,4,3", "--k", "2", "--format", "text"], 0),
+    ("four-ones-not-graphic", ["four-ones", "--pi", "3,3,1,1", "--k", "1"], 1),
+    ("four-ones-minus-k-not-graphic", ["four-ones", "--pi", "2,2,1,1", "--k", "2"], 2),
+    ("four-ones-odd-n", ["four-ones", "--pi", "2,2,2,2,2", "--k", "2"], 3),
+    ("four-ones-k0", ["four-ones", "--pi", "2,2,2,2", "--k", "0"], 5),
+    # half-k
+    ("half-k-5x6-k5", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5"], 0),
+    ("half-k-5x6-k5-text", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5", "--format", "text"], 0),
+    ("half-k-6x8-k6", ["half-k", "--pi", "6,6,6,6,6,6,6,6", "--k", "6", "--seed", "3"], 0),
+    ("half-k-6x8-k6-text",
+     ["half-k", "--pi", "6,6,6,6,6,6,6,6", "--k", "6", "--seed", "3", "--format", "text"], 0),
+    ("half-k-7x8-k7", ["half-k", "--pi", "7,7,7,7,7,7,7,7", "--k", "7", "--seed", "2"], 0),
+    ("half-k-gadget", ["half-k", "--pi", "6,6,5,5,5,5,5,5", "--k", "4"], 0),
+    ("half-k-4x6-k4-text", ["half-k", "--pi", "4,4,4,4,4,4", "--k", "4", "--format", "text"], 0),
+    ("half-k-k-too-small", ["half-k", "--pi", "2,2,2,2", "--k", "2"], 5),
+    # graphic
+    ("graphic-yes", ["graphic", "--pi", "2 2 2 2"], 0),
+    ("graphic-yes-text", ["graphic", "--pi", "2 2 2 2", "--format", "text"], 0),
+    ("graphic-no", ["graphic", "--pi", "3,3,1,1"], 1),
+    ("graphic-no-text", ["graphic", "--pi", "3,3,1,1", "--format", "text"], 1),
+    ("graphic-zeros", ["graphic", "--pi", "0,0,0"], 0),
+    # realize
+    ("realize", ["realize", "--pi", "3,3,2,2,1,1"], 0),
+    ("realize-text", ["realize", "--pi", "3,3,2,2,1,1", "--format", "text"], 0),
+    ("realize-unsorted", ["realize", "--pi", "2,1,1,3,2,3"], 0),
+    ("realize-not-graphic", ["realize", "--pi", "3,3,1,1"], 1),
+    # petersen
+    ("petersen-4x5", ["petersen", "--pi", "4,4,4,4,4"], 0),
+    ("petersen-4x5-text", ["petersen", "--pi", "4,4,4,4,4", "--format", "text"], 0),
+    ("petersen-6x7", ["petersen", "--pi", "6,6,6,6,6,6,6"], 0),
+    ("petersen-odd-degree", ["petersen", "--pi", "3,3,3,3"], 5),
+    # verify
+    ("verify", ["verify", "--cert", CERT], 0),
+    ("verify-text", ["verify", "--cert", CERT, "--format", "text"], 0),
+    ("verify-tampered", ["verify", "--cert", TAMPERED], 4),
+    # conjecture
+    ("conjecture-2x4-k2", ["conjecture", "--pi", "2,2,2,2", "--k", "2"], 0),
+    ("conjecture-2x4-k2-text", ["conjecture", "--pi", "2,2,2,2", "--k", "2", "--format", "text"], 0),
+    ("conjecture-2x6-k2", ["conjecture", "--pi", "2,2,2,2,2,2", "--k", "2"], 0),
+    ("conjecture-3x6-k3", ["conjecture", "--pi", "3,3,3,3,3,3", "--k", "3"], 0),
+    # sweep, plus the trace file
+    ("sweep-4-6-report", ["sweep", "--n", "4,6", "--report", REPORT], 0),
+    ("sweep-4-text", ["sweep", "--n", "4", "--format", "text"], 0),
+    ("sweep-6-half-k", ["sweep", "--n", "6", "--mode", "half-k"], 0),
+    ("half-k-5x6-k5-trace", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5", "--trace", TRACE], 0),
+]
+
+# Side files: case name -> (argv placeholder, golden file).
+SIDE_FILES = {
+    "sweep-4-6-report": (REPORT, "sweep-4-6-report.csv"),
+    "half-k-5x6-k5-trace": (TRACE, "half-k-5x6-k5-trace.json"),
+}
+
+
+def _drop_millis(csv_text: str) -> str:
+    """The sweep CSV without its last column, the only one that depends on timing."""
+    rows = []
+    for line in csv_text.splitlines(keepends=True):
+        body = line.rstrip("\r\n")
+        rows.append(body[:body.rindex(",")] + line[len(body):])
+    assert csv_text.startswith(rows[0].rstrip("\r\n") + ",millis")
+    return "".join(rows)
+
+
+def _run_case(argv, tmpdir: Path) -> tuple[int, str, dict[str, str]]:
+    """(exit code, stdout, side file contents keyed by placeholder)."""
+    paths = {TRACE: str(tmpdir / "trace.json"), REPORT: str(tmpdir / "report.csv")}
+    out = io.StringIO()
+    code = run([paths.get(a, a) for a in argv], out=out)
+    side = {}
+    for placeholder, path in paths.items():
+        if placeholder in argv:
+            text = Path(path).read_bytes().decode("utf-8")
+            side[placeholder] = _drop_millis(text) if placeholder == REPORT else text
+    return code, out.getvalue(), side
+
+
+@pytest.mark.parametrize("name,argv,expected_code", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(name, argv, expected_code, tmp_path):
+    code, stdout, side = _run_case(argv, tmp_path)
+    assert code == expected_code
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+    if name in SIDE_FILES:
+        placeholder, filename = SIDE_FILES[name]
+        assert side[placeholder] == (GOLDEN / filename).read_bytes().decode("utf-8")
+
+
+def record() -> None:
+    """Rewrite every golden file from the current CLI."""
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, expected_code in CASES:
+            code, stdout, side = _run_case(argv, Path(tmp))
+            if code != expected_code:
+                raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
+            (GOLDEN / f"{name}.out").write_bytes(stdout.encode("utf-8"))
+            if name in SIDE_FILES:
+                placeholder, filename = SIDE_FILES[name]
+                (GOLDEN / filename).write_bytes(side[placeholder].encode("utf-8"))
+    print(f"recorded {len(CASES)} cases under {os.path.relpath(GOLDEN)}")
+
+
+if __name__ == "__main__":
+    record()

@@ -13,7 +13,7 @@ from factorpack import (
 from factorpack.coloring import BLACK, RESIDUAL, WHITE, DegreeSequence
 from factorpack.errors import NotGraphic, NotGraphicMinusK
 from factorpack.graphs import all_pairs, edge
-from factorpack.realize import find_k_factor
+from factorpack.realize import erdos_gallai_graphic_raw, find_k_factor
 
 
 def brute_degree_multisets(n: int) -> set[tuple[int, ...]]:
@@ -42,6 +42,48 @@ def test_erdos_gallai_matches_exhaustive_enumeration_n4():
         desc = tuple(sorted(cand, reverse=True))
         assert erdos_gallai_graphic(desc) == (desc in realizable), desc
     assert (3, 3, 1, 1) not in realizable
+
+
+def quadratic_erdos_gallai(sorted_desc: list[int]) -> bool:
+    """Reference: every Erdos-Gallai inequality summed out term by term, O(n^2)."""
+    n = len(sorted_desc)
+    if n == 0:
+        return True
+    if sorted_desc[-1] < 0 or sum(sorted_desc) % 2 != 0:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += sorted_desc[k - 1]
+        tail = sum(min(k, sorted_desc[i]) for i in range(k, n))
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def test_erdos_gallai_matches_quadratic_reference_exhaustively():
+    for n in range(8):
+        for asc in itertools.combinations_with_replacement(range(-1, n + 1), n):
+            desc = list(reversed(asc))
+            expected = quadratic_erdos_gallai(desc)
+            assert erdos_gallai_graphic_raw(desc) == expected, desc
+            assert erdos_gallai_graphic(asc) == expected, asc
+
+
+def test_erdos_gallai_matches_quadratic_reference_random():
+    rng = random.Random(20261018)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 200)
+        skew = rng.choice([0.5, 1.0, 2.0, 4.0])
+        values = [int((n - 1) * rng.random() ** skew) for _ in range(n)]
+        if sum(values) % 2:
+            values[rng.randrange(n)] += rng.choice([-1, 1])
+        desc = sorted(values, reverse=True)
+        expected = quadratic_erdos_gallai(desc)
+        outcomes[expected] += 1
+        assert erdos_gallai_graphic_raw(desc) == expected, desc
+        assert erdos_gallai_graphic(values) == expected, values
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_havel_hakimi_examples():
