@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .coloring import DegreeSequence, certificate_from_realization
+from .coloring import certificate_from_realization, replay_trace
 from .errors import (
     BudgetExceeded,
     FactorpackError,
@@ -28,16 +28,9 @@ from .errors import (
     OddVertexCount,
     UsageError,
 )
-from .factorize import (
-    four_ones,
-    four_ones_realization,
-    half_k,
-    half_k_realization,
-    petersen_two_factorize,
-)
-from .graphs import SimpleGraph
+from .factorize import four_ones_realization, half_k_realization, petersen_two_factorize
 from .oracle import bf_conjecture_search, enumerate_graphic, verify_certificate
-from .realize import erdos_gallai_graphic, havel_hakimi_realize, kundu_realize
+from .realize import erdos_gallai_graphic, erdos_gallai_graphic_raw, havel_hakimi_realize, kundu_realize
 from .serialize import (
     certificate_from_dict,
     certificate_to_dict,
@@ -96,8 +89,6 @@ def _certificate_text(cert_dict: dict) -> str:
 
 
 def _write_trace(path: str, real) -> None:
-    from .coloring import replay_trace
-
     final = real.coloring_map()
     initial = dict(final)
     for batch in reversed(real.trace.batches):
@@ -125,44 +116,29 @@ def _switch_stats(real) -> tuple[int, int]:
 
 def _cmd_graphic(args, out) -> int:
     pi = _parse_pi(args.pi)
-    ok = erdos_gallai_graphic(DegreeSequence.of(pi))
+    ok = erdos_gallai_graphic(pi)
     _emit(out, {"pi": pi, "graphic": ok}, args.format)
     return EXIT_OK if ok else EXIT_NOT_GRAPHIC
 
 
 def _cmd_realize(args, out) -> int:
-    pi = _parse_pi(args.pi)
-    g = havel_hakimi_realize(DegreeSequence.of(pi))
+    g = havel_hakimi_realize(_parse_pi(args.pi))
     _emit(out, graph_to_dict(g), args.format)
     return EXIT_OK
 
 
-def _cmd_kundu(args, out) -> int:
-    pi = _parse_pi(args.pi)
-    real = kundu_realize(DegreeSequence.of(pi), args.k, args.seed)
-    cert = certificate_from_realization(real, "kundu", args.k)
-    if args.trace:
-        _write_trace(args.trace, real)
-    out.write(certificate_to_json(cert) if args.format == "json"
-              else _certificate_text(certificate_to_dict(cert)))
-    return EXIT_OK
+# Pipeline subcommands: name (also the certificate mode) -> (realization builder, help).
+_PIPELINES = {
+    "kundu": (kundu_realize, "realization with a k-regular residual class"),
+    "four-ones": (four_ones_realization, "pack min(k,4) 1-factors plus a (k-4)-regular residual"),
+    "half-k": (half_k_realization, "pack floor(k/2)+2 edge-disjoint 1-factors"),
+}
 
 
-def _cmd_four_ones(args, out) -> int:
-    pi = _parse_pi(args.pi)
-    real = four_ones_realization(DegreeSequence.of(pi), args.k, args.seed)
-    cert = certificate_from_realization(real, "four-ones", args.k)
-    if args.trace:
-        _write_trace(args.trace, real)
-    out.write(certificate_to_json(cert) if args.format == "json"
-              else _certificate_text(certificate_to_dict(cert)))
-    return EXIT_OK
-
-
-def _cmd_half_k(args, out) -> int:
-    pi = _parse_pi(args.pi)
-    real = half_k_realization(DegreeSequence.of(pi), args.k, args.seed)
-    cert = certificate_from_realization(real, "half-k", args.k)
+def _cmd_pipeline(args, out) -> int:
+    build, _help = _PIPELINES[args.command]
+    real = build(_parse_pi(args.pi), args.k, args.seed)
+    cert = certificate_from_realization(real, args.command, args.k)
     if args.trace:
         _write_trace(args.trace, real)
     out.write(certificate_to_json(cert) if args.format == "json"
@@ -175,7 +151,7 @@ def _cmd_petersen(args, out) -> int:
     values = set(pi)
     if len(values) != 1 or (pi[0] % 2) != 0:
         raise NotEvenRegular(f"petersen needs a constant even sequence, got {pi}")
-    g = havel_hakimi_realize(DegreeSequence.of(pi))
+    g = havel_hakimi_realize(pi)
     parts = petersen_two_factorize(g, pi[0] // 2)
     _emit(out, {
         "n": g.n,
@@ -193,7 +169,7 @@ def _cmd_verify(args, out) -> int:
         with open(args.cert, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     cert = certificate_from_dict(data)
-    report = verify_certificate(DegreeSequence.of(cert.pi), cert.k, cert)
+    report = verify_certificate(cert.pi, cert.k, cert)
     _emit(out, {
         "passed": report.passed,
         "violations": [[kind, repr(witness)] for (kind, witness) in report.violations],
@@ -204,7 +180,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_conjecture(args, out) -> int:
     pi = _parse_pi(args.pi)
-    result = bf_conjecture_search(DegreeSequence.of(pi), args.k)
+    result = bf_conjecture_search(pi, args.k)
     if result is None:
         _emit(out, {
             "pi": pi, "k": args.k, "found": False,
@@ -225,17 +201,13 @@ def _cmd_conjecture(args, out) -> int:
 
 def _sweep_instance(task):
     n, degrees, k, mode, seed = task
-    ds = DegreeSequence.of(degrees)
     started = time.perf_counter()
-    ok = True
     ones = switches = max_r = 0
     try:
-        if mode == "four-ones":
-            real = four_ones_realization(ds, k, seed)
-        else:
-            real = half_k_realization(ds, k, seed)
+        build, _help = _PIPELINES[mode]
+        real = build(degrees, k, seed)
         cert = certificate_from_realization(real, mode, k)
-        report = verify_certificate(ds, k, cert)
+        report = verify_certificate(degrees, k, cert)
         ok = report.passed
         ones = len(cert.one_factors)
         switches, max_r = _switch_stats(real)
@@ -249,6 +221,11 @@ def _sweep_instance(task):
     }
 
 
+def _sweep_workers(requested: int, tasks: int) -> int:
+    """Sweep processes: the requested count, capped by the CPUs and the number of tasks."""
+    return min(requested, os.cpu_count() or 1, tasks)
+
+
 def _cmd_sweep(args, out) -> int:
     sizes = [int(x) for x in args.n.replace(",", " ").split()]
     modes = ["four-ones", "half-k"] if args.mode == "both" else [args.mode]
@@ -256,16 +233,13 @@ def _cmd_sweep(args, out) -> int:
     for n in sizes:
         for ds in enumerate_graphic(n, n - 1):
             for k in range(1, n):
-                reduced = [d - k for d in ds.degrees]
-                if any(d < 0 for d in reduced):
-                    break
-                if not erdos_gallai_graphic(reduced):
+                if not erdos_gallai_graphic_raw([d - k for d in ds.degrees]):
                     continue
                 for mode in modes:
                     if mode == "half-k" and k < 4:
                         continue
                     tasks.append((n, ds.degrees, k, mode, args.seed))
-    workers = args.workers or int(os.environ.get("FACTORPACK_WORKERS", "1"))
+    workers = _sweep_workers(args.workers or int(os.environ.get("FACTORPACK_WORKERS", "1")), len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -296,14 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="factorpack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k_required=True):
-        p.add_argument("--pi", required=True, help="degrees, comma/space separated, or @file")
-        if k_required:
-            p.add_argument("--k", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--trace", default=None, help="write the recoloring trace to this path")
-
     p = sub.add_parser("graphic", help="test whether a sequence is graphic")
     p.add_argument("--pi", required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -314,17 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("kundu", help="realization with a k-regular residual class")
-    common(p)
-    p.set_defaults(func=_cmd_kundu)
-
-    p = sub.add_parser("four-ones", help="pack min(k,4) 1-factors plus a (k-4)-regular residual")
-    common(p)
-    p.set_defaults(func=_cmd_four_ones)
-
-    p = sub.add_parser("half-k", help="pack floor(k/2)+2 edge-disjoint 1-factors")
-    common(p)
-    p.set_defaults(func=_cmd_half_k)
+    for name, (_build, help_text) in _PIPELINES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--pi", required=True, help="degrees, comma/space separated, or @file")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--trace", default=None, help="write the recoloring trace to this path")
+        p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("petersen", help="split a constant even-degree realization into 2-factors")
     p.add_argument("--pi", required=True)

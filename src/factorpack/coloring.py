@@ -100,9 +100,6 @@ class DegreeSequence:
     def n(self) -> int:
         return len(self.degrees)
 
-    def minus(self, k: int) -> "DegreeSequence":
-        return DegreeSequence.of(tuple(d - k for d in self.degrees))
-
 
 @dataclass(frozen=True)
 class Batch:
@@ -150,8 +147,7 @@ class ColoredRealization:
         self.declared = dict(declared)
         self.trace = trace if trace is not None else SwitchTrace()
         self._counts: list[dict[Color, int]] = [dict() for _ in range(n)]
-        for (u, v) in all_pairs(n):
-            c = colors[_pair_index(n, u, v)]
+        for (u, v), c in zip(all_pairs(n), colors):
             self._counts[u][c] = self._counts[u].get(c, 0) + 1
             self._counts[v][c] = self._counts[v].get(c, 0) + 1
         # Per-vertex realization degree, pinned at construction; switches must
@@ -171,7 +167,8 @@ class ColoredRealization:
         return self._counts[v].get(c, 0)
 
     def edges_of(self, c: Color) -> list[tuple[int, int]]:
-        return sorted(e for e in all_pairs(self.n) if self._colors[_pair_index(self.n, *e)] == c)
+        """Edges of color c, ascending (``all_pairs`` walks the color array in order)."""
+        return [e for e, color in zip(all_pairs(self.n), self._colors) if color == c]
 
     def class_graph(self, c: Color) -> SimpleGraph:
         return SimpleGraph(self.n, set(self.edges_of(c)))
@@ -186,13 +183,10 @@ class ColoredRealization:
         return DegreeSequence.of(self.degrees)
 
     def coloring_map(self) -> dict[tuple[int, int], Color]:
-        return {e: self._colors[_pair_index(self.n, *e)] for e in all_pairs(self.n)}
+        return dict(zip(all_pairs(self.n), self._colors))
 
     def one_factor_count(self) -> int:
         return sum(1 for c in self.declared if c.kind == "one")
-
-    def two_factor_count(self) -> int:
-        return sum(1 for c in self.declared if c.kind == "two")
 
     # --- validation ---
 

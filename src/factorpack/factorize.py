@@ -28,7 +28,6 @@ from .coloring import (
     WHITE,
     Color,
     ColoredRealization,
-    DegreeSequence,
     FactorCertificate,
     certificate_from_realization,
     one_factor,
@@ -42,15 +41,13 @@ from .errors import (
     KTooSmall,
     NoResidual,
     NotEvenRegular,
-    NotGraphic,
-    NotGraphicMinusK,
     OddVertexCount,
     PreconditionViolated,
     TooManyOneFactors,
 )
 from .graphs import SimpleGraph, connected_components, cycles_of_two_regular, edge, euler_circuit
 from .matching import Matching, lemma_odd_certificate, maximum_matching
-from .realize import erdos_gallai_graphic, erdos_gallai_graphic_raw, kundu_realize
+from .realize import degree_sequence_checked, kundu_realize
 from .switching import multi_switch, parallel_two_switch
 
 CONTEXT_RESIDUAL = "residual"
@@ -113,11 +110,12 @@ def _cycle_edge_at(cycle: tuple[int, ...], x: int, avoid: set[int]) -> tuple[int
 
 def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching,
                          c1, c2, factor: Color, context: str = CONTEXT_RESIDUAL):
-    """Extend the matching to cover both odd cycles; returns (real, matching).
+    """Extend the matching to cover both odd cycles; returns (real, matching, case).
 
     In the residual context the matching lives in `factor`; in the temp-black
     context the cycles' edges have already been recolored black and the
     matching lives in black.  Cycles other than c1 and c2 are never touched.
+    ``case`` is the CrossEdgeCase that produced the bridge between them.
     """
     if context not in (CONTEXT_RESIDUAL, CONTEXT_TEMP_BLACK):
         raise PreconditionViolated(f"unknown context {context!r}")
@@ -363,23 +361,13 @@ def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization
     return real
 
 
-def _validated_inputs(pi, k: int) -> DegreeSequence:
-    ds = pi if isinstance(pi, DegreeSequence) else DegreeSequence.of(pi)
-    if not erdos_gallai_graphic(ds):
-        raise NotGraphic(f"{list(ds.degrees)} is not graphic")
-    reduced = [d - k for d in ds.degrees]
-    if any(d < 0 for d in reduced) or not erdos_gallai_graphic_raw(reduced):
-        raise NotGraphicMinusK(f"{list(ds.degrees)} minus {k} is not graphic")
-    if ds.n % 2 != 0:
-        raise OddVertexCount(f"n={ds.n} must be even")
-    return ds
-
-
 def four_ones_realization(pi, k: int, seed: int = 0) -> ColoredRealization:
     """Realization with min(k, 4) peeled 1-factors and a max(k-4, 0)-regular residual."""
     if k < 1:
         raise PreconditionViolated(f"k must be >= 1, got {k}")
-    ds = _validated_inputs(pi, k)
+    ds = degree_sequence_checked(pi, k)
+    if ds.n % 2 != 0:
+        raise OddVertexCount(f"n={ds.n} must be even")
     real = kundu_realize(ds, k, seed)
     for _ in range(min(k, 4)):
         peel_one_factor(real)

@@ -13,6 +13,7 @@ def edge(u: int, v: int) -> tuple[int, int]:
 
 
 def all_pairs(n: int):
+    """Every pair (u, v), u < v, in lexicographic order: the order of coloring's pair index."""
     for u in range(n):
         for v in range(u + 1, n):
             yield (u, v)
@@ -37,9 +38,6 @@ class SimpleGraph:
     def copy(self) -> "SimpleGraph":
         return SimpleGraph(self.n, set(self.edges))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for (u, v) in self.edges:
@@ -61,10 +59,6 @@ class SimpleGraph:
 
     def complement(self) -> "SimpleGraph":
         return SimpleGraph(self.n, {p for p in all_pairs(self.n) if p not in self.edges})
-
-    def is_regular(self) -> bool:
-        deg = self.degrees()
-        return self.n == 0 or all(d == deg[0] for d in deg)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -10,23 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coloring import DegreeSequence, FactorCertificate
-from .errors import BudgetExceeded, NotGraphic, NotGraphicMinusK
 from .graphs import SimpleGraph, edge
 from .matching import Matching
-from .realize import erdos_gallai_graphic, erdos_gallai_graphic_raw, _enumerate_realizations
-
-
-class _Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise BudgetExceeded(self.nodes, self.limit)
+from .realize import _Budget, _enumerate_realizations, degree_sequence_checked, erdos_gallai_graphic_raw
 
 
 def bf_max_matching(g: SimpleGraph, budget: int = 2_000_000) -> tuple[int, Matching]:
@@ -125,12 +111,7 @@ def bf_conjecture_search(pi, k: int, realization_budget: int = 2_000_000,
     rows with residual-graphicality pruning), so a None return is an
     exhaustively verified absence: a counterexample to the packing conjecture.
     """
-    ds = pi if isinstance(pi, DegreeSequence) else DegreeSequence.of(pi)
-    if not erdos_gallai_graphic(ds):
-        raise NotGraphic(f"{list(ds.degrees)} is not graphic")
-    reduced = [d - k for d in ds.degrees]
-    if any(d < 0 for d in reduced) or not erdos_gallai_graphic_raw(reduced):
-        raise NotGraphicMinusK(f"{list(ds.degrees)} minus {k} is not graphic")
+    ds = degree_sequence_checked(pi, k)
 
     def visit(edges: set[tuple[int, int]]):
         g = SimpleGraph(ds.n, set(edges))
@@ -139,7 +120,7 @@ def bf_conjecture_search(pi, k: int, realization_budget: int = 2_000_000,
             return None
         return (g, ms)
 
-    return _enumerate_realizations(ds.degrees, visit, node_budget=realization_budget)
+    return _enumerate_realizations(ds.degrees, visit, _Budget(realization_budget))
 
 
 def enumerate_graphic(n: int, d_max: int) -> list[DegreeSequence]:

@@ -13,6 +13,7 @@ must succeed whenever pi and pi - k are both graphic.
 from __future__ import annotations
 
 import random
+from itertools import accumulate, combinations
 
 from .coloring import (
     BLACK,
@@ -22,67 +23,100 @@ from .coloring import (
     DegreeSequence,
     make_colored_realization,
 )
-from .errors import NotGraphic, NotGraphicMinusK, SearchExhausted
+from .errors import (
+    BudgetExceeded,
+    NotGraphic,
+    NotGraphicMinusK,
+    PreconditionViolated,
+    SearchExhausted,
+)
 from .graphs import SimpleGraph, all_pairs, edge
-from .matching import maximum_matching
+from .matching import Matching, maximum_matching
 
 
 def erdos_gallai_graphic(seq) -> bool:
-    """True iff the non-negative integer list is the degree sequence of a simple graph."""
+    """True iff the integer list is the degree sequence of a simple graph."""
     if isinstance(seq, DegreeSequence):
-        d = list(seq.degrees)
-    else:
-        d = sorted((int(x) for x in seq), reverse=True)
+        return erdos_gallai_graphic_raw(list(seq.degrees))
+    return erdos_gallai_graphic_raw(sorted((int(x) for x in seq), reverse=True))
+
+
+def erdos_gallai_graphic_raw(sorted_desc: list[int]) -> bool:
+    """Erdos-Gallai on an already sorted non-increasing list (no normalization), in O(n).
+
+    Inequality k bounds the first k entries by k(k-1) plus sum(min(k, d_i))
+    over the rest.  The entries >= k form a prefix d[:p] that shrinks as k
+    grows, so each later entry contributes k inside that prefix and itself
+    beyond it, which prefix sums give in O(1).
+    """
+    d = sorted_desc
     n = len(d)
     if n == 0:
         return True
-    if d[0] > n - 1 or d[-1] < 0:
+    acc = [0, *accumulate(d)]
+    if d[-1] < 0 or acc[n] % 2 != 0:
         return False
-    if sum(d) % 2 != 0:
-        return False
-    prefix = 0
+    p = n
     for k in range(1, n + 1):
-        prefix += d[k - 1]
-        tail = sum(min(k, d[i]) for i in range(k, n))
-        if prefix > k * (k - 1) + tail:
+        while p > 0 and d[p - 1] < k:
+            p -= 1
+        split = max(p, k)
+        if acc[k] > k * (k - 1) + k * (split - k) + acc[n] - acc[split]:
             return False
     return True
 
 
-def degree_sequence_checked(pi) -> DegreeSequence:
-    """Normalize to a DegreeSequence, raising NotGraphic for anything unrealizable."""
-    if isinstance(pi, DegreeSequence):
-        if not erdos_gallai_graphic(pi):
-            raise NotGraphic(f"{list(pi.degrees)} is not graphic")
-        return pi
-    values = [int(x) for x in pi]
+def degree_sequence_checked(pi, k: int = 0) -> DegreeSequence:
+    """The one check of a request: pi graphic, k >= 0, and pi - k graphic.
+
+    Raises NotGraphic (degrees outside [0, n-1] included), then
+    PreconditionViolated for k < 0, then NotGraphicMinusK.
+    """
+    values = list(pi.degrees) if isinstance(pi, DegreeSequence) else [int(x) for x in pi]
     if not erdos_gallai_graphic(values):
         raise NotGraphic(f"{values} is not graphic")
-    return DegreeSequence.of(values)
+    ds = pi if isinstance(pi, DegreeSequence) else DegreeSequence.of(values)
+    if k < 0:
+        raise PreconditionViolated(f"k must be non-negative, got {k}")
+    if not erdos_gallai_graphic_raw([d - k for d in ds.degrees]):
+        raise NotGraphicMinusK(f"{list(ds.degrees)} minus {k} is not graphic")
+    return ds
+
+
+def _pair_off(target: list[int], forbidden: set[tuple[int, int]]) -> set[tuple[int, int]] | None:
+    """Greedy pairing: vertex i gets target[i] edges, none of them in `forbidden`.
+
+    The vertex with the largest remaining need (ties by lowest id) joins the
+    vertices with the next largest needs.  Returns None when a vertex runs
+    out of partners; a processed vertex's need is 0, so no edge repeats.
+    """
+    n = len(target)
+    left = list(target)
+    edges: set[tuple[int, int]] = set()
+    while True:
+        v = max(range(n), key=lambda i: (left[i], -i))
+        need = left[v]
+        if need == 0:
+            return edges
+        left[v] = 0
+        partners = sorted(
+            (w for w in range(n) if left[w] > 0 and edge(v, w) not in forbidden),
+            key=lambda w: (-left[w], w),
+        )
+        if len(partners) < need:
+            return None
+        for w in partners[:need]:
+            edges.add(edge(v, w))
+            left[w] -= 1
 
 
 def havel_hakimi_realize(seq) -> SimpleGraph:
     """Deterministic realization: highest-degree vertex first, ties by lowest id."""
     ds = degree_sequence_checked(seq)
-    n = ds.n
-    remaining = list(ds.degrees)
-    edges: set[tuple[int, int]] = set()
-    while True:
-        v = max(range(n), key=lambda i: (remaining[i], -i))
-        if remaining[v] == 0:
-            break
-        need = remaining[v]
-        remaining[v] = 0
-        partners = sorted(
-            (w for w in range(n) if w != v and remaining[w] > 0),
-            key=lambda w: (-remaining[w], w),
-        )
-        if len(partners) < need:
-            raise NotGraphic(f"{list(ds.degrees)} is not graphic")  # unreachable after the test
-        for w in partners[:need]:
-            edges.add(edge(v, w))
-            remaining[w] -= 1
-    return SimpleGraph(n, edges)
+    edges = _pair_off(list(ds.degrees), set())
+    if edges is None:
+        raise NotGraphic(f"{list(ds.degrees)} is not graphic")  # unreachable after the test
+    return SimpleGraph(ds.n, edges)
 
 
 def switch_randomize(g: SimpleGraph, steps: int, seed: int) -> SimpleGraph:
@@ -137,8 +171,6 @@ def max_degree_bounded_subgraph(h: SimpleGraph, k: int) -> tuple[int, set[tuple[
             gadget_edges.add(edge(u * k + i, su))
             gadget_edges.add(edge(v * k + i, sv))
     gadget = SimpleGraph(gadget_n, gadget_edges)
-    from .matching import Matching
-
     seed_matching = Matching.from_edges((stub_base + 2 * j, stub_base + 2 * j + 1)
                                         for j in range(len(edges)))
     mm = maximum_matching(gadget, seed_matching)
@@ -164,25 +196,7 @@ def find_k_factor(h: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
 
 def _greedy_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
     """Pair off deficits greedily, avoiding r's edges; may fail, never lies."""
-    n = r.n
-    deficit = [k] * n
-    fill: set[tuple[int, int]] = set()
-    while True:
-        v = max(range(n), key=lambda i: (deficit[i], -i))
-        if deficit[v] == 0:
-            return fill
-        need = deficit[v]
-        deficit[v] = 0
-        partners = sorted(
-            (w for w in range(n)
-             if w != v and deficit[w] > 0 and edge(v, w) not in r.edges and edge(v, w) not in fill),
-            key=lambda w: (-deficit[w], w),
-        )
-        if len(partners) < need:
-            return None
-        for w in partners[:need]:
-            fill.add(edge(v, w))
-            deficit[w] -= 1
+    return _pair_off([k] * r.n, r.edges)
 
 
 def _circulant_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
@@ -211,29 +225,40 @@ def _circulant_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
     return fill
 
 
-def _enumerate_realizations(degrees: tuple[int, ...], visit, node_budget: int | None = None):
+class _Budget:
+    """Search-node counter: raises BudgetExceeded once more than `limit` nodes are ticked."""
+
+    __slots__ = ("nodes", "limit")
+
+    def __init__(self, limit: int):
+        self.nodes = 0
+        self.limit = limit
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise BudgetExceeded(self.nodes, self.limit)
+
+
+def _enumerate_realizations(degrees: tuple[int, ...], visit, budget: _Budget | None = None):
     """DFS over labeled realizations (vertex i gets degrees[i]); calls visit(edges).
 
     Rows are chosen vertex by vertex among later vertices, pruned by residual
     graphicality.  visit returns a non-None value to stop the search; that
-    value is returned.  Returns None when the space is exhausted.
+    value is returned.  Returns None when the space is exhausted.  A budget,
+    when given, is ticked once per search node.
     """
     n = len(degrees)
     residual = list(degrees)
     edges: set[tuple[int, int]] = set()
-    nodes = 0
 
     def feasible(start: int) -> bool:
         rest = sorted(residual[start:], reverse=True)
         return erdos_gallai_graphic_raw(rest)
 
     def rec(i: int):
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            from .errors import BudgetExceeded
-
-            raise BudgetExceeded(nodes, node_budget)
+        if budget is not None:
+            budget.tick()
         if i == n:
             if all(x == 0 for x in residual):
                 return visit(set(edges))
@@ -244,8 +269,6 @@ def _enumerate_realizations(degrees: tuple[int, ...], visit, node_budget: int | 
             return None
         if need == 0:
             return rec(i + 1) if feasible(i + 1) else None
-        from itertools import combinations
-
         for pick in combinations(candidates, need):
             for j in pick:
                 residual[j] -= 1
@@ -264,34 +287,13 @@ def _enumerate_realizations(degrees: tuple[int, ...], visit, node_budget: int | 
     return rec(0)
 
 
-def erdos_gallai_graphic_raw(sorted_desc: list[int]) -> bool:
-    """Erdos-Gallai on an already sorted non-increasing list (no normalization)."""
-    n = len(sorted_desc)
-    if n == 0:
-        return True
-    if sorted_desc[-1] < 0 or sum(sorted_desc) % 2 != 0:
-        return False
-    prefix = 0
-    for k in range(1, n + 1):
-        prefix += sorted_desc[k - 1]
-        tail = sum(min(k, sorted_desc[i]) for i in range(k, n))
-        if prefix > k * (k - 1) + tail:
-            return False
-    return True
-
-
 _HILL_CLIMB_BUDGET = 200
 
 
-def kundu_realize(pi, k: int, seed: int = 0, exact_fallback: bool = True) -> ColoredRealization:
+def kundu_realize(pi, k: int, seed: int = 0) -> ColoredRealization:
     """Realization of pi with a k-regular residual class; black = the rest, white = non-edges."""
-    ds = degree_sequence_checked(pi)
-    if k < 0:
-        raise NotGraphicMinusK("k must be non-negative")
-    reduced_list = [d - k for d in ds.degrees]
-    if any(d < 0 for d in reduced_list) or not erdos_gallai_graphic_raw(reduced_list):
-        raise NotGraphicMinusK(f"{list(ds.degrees)} minus {k} is not graphic")
-    reduced = DegreeSequence.of(reduced_list)
+    ds = degree_sequence_checked(pi, k)
+    reduced = DegreeSequence.of([d - k for d in ds.degrees])
     r = havel_hakimi_realize(reduced)
 
     fill = _greedy_fill(r, k)
@@ -313,7 +315,7 @@ def kundu_realize(pi, k: int, seed: int = 0, exact_fallback: bool = True) -> Col
                 if best == target:
                     fill = chosen
                     break
-        if fill is None and exact_fallback:
+        if fill is None:
             found = _enumerate_realizations(
                 reduced.degrees,
                 lambda edges: _fill_or_none(ds.n, edges, k),
@@ -325,8 +327,6 @@ def kundu_realize(pi, k: int, seed: int = 0, exact_fallback: bool = True) -> Col
                 )
             r_edges, fill = found
             r = SimpleGraph(ds.n, r_edges)
-        elif fill is None:
-            raise SearchExhausted("heuristic fill failed and the exact fallback is disabled")
 
     assignments = []
     for p in all_pairs(ds.n):

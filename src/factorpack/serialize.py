@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .coloring import Color, ColoredRealization, FactorCertificate, SwitchTrace
+from .coloring import Color, FactorCertificate, SwitchTrace
 from .graphs import SimpleGraph
 
 
@@ -87,7 +87,3 @@ def trace_from_dict(data: dict):
         ))
     return int(data["n"]), initial, trace
 
-
-def realization_coloring_json(real: ColoredRealization) -> str:
-    items = [[u, v, str(c)] for ((u, v), c) in sorted(real.coloring_map().items())]
-    return json.dumps({"n": real.n, "coloring": items}, indent=2) + "\n"

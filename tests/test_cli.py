@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 from factorpack import replay_trace
-from factorpack.cli import run
+from factorpack.cli import _sweep_workers, run
 from factorpack.coloring import Color
 from factorpack.serialize import trace_from_dict
 from tests.conftest import cli_subprocess_env
@@ -43,6 +46,26 @@ def test_exit_code_odd_length():
 def test_exit_code_k_too_small_is_usage():
     code, _ = run_cli(["half-k", "--pi", "2,2,2,2", "--k", "2"])
     assert code == 5
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["graphic", "--pi", "5,1,1,1"], 1),  # degree 5 out of range for n=4: not graphic
+    (["four-ones", "--pi", "3,1,1", "--k", "1"], 1),
+    (["realize", "--pi", "3,1,1"], 1),
+    (["conjecture", "--pi", "4,1,1,1", "--k", "1"], 1),
+    (["kundu", "--pi", "2,2,2", "--k", "-1"], 5),  # k < 0 is a usage error
+    (["four-ones", "--pi", "2,2,2,2", "--k", "-1"], 5),
+    (["half-k", "--pi", "2,2,2,2", "--k", "-1"], 5),
+])
+def test_exit_codes_at_the_input_boundary(argv, expected):
+    code, _ = run_cli(argv)
+    assert code == expected
+
+
+def test_graphic_reports_out_of_range_degree_as_not_graphic():
+    code, text = run_cli(["graphic", "--pi", "5,1,1,1"])
+    assert code == 1
+    assert json.loads(text) == {"pi": [5, 1, 1, 1], "graphic": False}
 
 
 def test_exit_code_bad_usage():
@@ -116,6 +139,15 @@ def test_sweep_report_columns(tmp_path):
     header = report.read_text().splitlines()[0]
     assert header == "n,pi,k,mode,ok,n_one_factors,n_switches,max_chain_r,millis"
     assert json.loads(text)["failures"] == 0
+
+
+def test_sweep_workers_capped_by_cpus_and_tasks():
+    cpus = os.cpu_count() or 1
+    assert _sweep_workers(10**6, 10**6) == cpus
+    assert _sweep_workers(10**6, 3) == min(3, cpus)
+    assert _sweep_workers(2, 10**6) == min(2, cpus)
+    assert _sweep_workers(1, 10**6) == 1
+    assert _sweep_workers(10**6, 0) == 0
 
 
 def test_in_process_byte_determinism():

@@ -11,7 +11,7 @@ from factorpack import (
     switch_randomize,
 )
 from factorpack.coloring import BLACK, RESIDUAL, WHITE, DegreeSequence
-from factorpack.errors import NotGraphic, NotGraphicMinusK
+from factorpack.errors import NotGraphic, NotGraphicMinusK, PreconditionViolated
 from factorpack.graphs import all_pairs, edge
 from factorpack.realize import erdos_gallai_graphic_raw, find_k_factor
 
@@ -176,6 +176,10 @@ def test_kundu_on_4444_33_confirmed_by_oracle():
 def test_kundu_errors():
     with pytest.raises(NotGraphic):
         kundu_realize([3, 3, 1, 1], 1)
+    with pytest.raises(NotGraphic):
+        kundu_realize([3, 1, 1], 1)  # degree out of range for n=3
+    with pytest.raises(PreconditionViolated):
+        kundu_realize([2, 2, 2], -1)
     with pytest.raises(NotGraphicMinusK):
         kundu_realize([2, 2, 1, 1], 2)
 
