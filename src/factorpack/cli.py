@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: graphic, realize, kundu, four-ones, half-k, petersen, verify,
-sweep, conjecture.  Output on stdout is byte-deterministic for a fixed
---seed.  Exit codes: 0 success, 1 pi not graphic, 2 pi - k not graphic,
-3 odd length where evenness is required, 4 internal invariant violation or
-failed verification, 5 usage error.
+sweep, conjecture.  Output on stdout is byte-deterministic; --seed is
+accepted and changes nothing.  Exit codes: 0 success, 1 pi not graphic,
+2 pi - k not graphic, 3 odd length where evenness is required, 4 internal
+invariant violation or failed verification, 5 usage error.
 """
 
 from __future__ import annotations
@@ -321,6 +321,10 @@ def run(argv, out=None) -> int:
     """Dispatch a subcommand; returns the process exit code."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes a lone --pi value like -1,1 for an option
+        if argv[i - 1] == "--pi":
+            argv[i - 1:i + 1] = [f"--pi={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

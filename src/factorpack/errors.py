@@ -49,10 +49,6 @@ class NotGraphicMinusK(FactorpackError):
     pass
 
 
-class SearchExhausted(FactorpackError):
-    pass
-
-
 # --- switching engine ---
 
 class PreconditionViolated(UsageError):

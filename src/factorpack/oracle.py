@@ -8,11 +8,74 @@ exhausted search, never a timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement
 
 from .coloring import DegreeSequence, FactorCertificate
+from .errors import BudgetExceeded
 from .graphs import SimpleGraph, edge
 from .matching import Matching
-from .realize import _Budget, _enumerate_realizations, degree_sequence_checked, erdos_gallai_graphic_raw
+from .realize import degree_sequence_checked, erdos_gallai_graphic_raw
+
+
+class _Budget:
+    """Search-node counter: raises BudgetExceeded once more than `limit` nodes are ticked."""
+
+    __slots__ = ("nodes", "limit")
+
+    def __init__(self, limit: int):
+        self.nodes = 0
+        self.limit = limit
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise BudgetExceeded(self.nodes, self.limit)
+
+
+def _enumerate_realizations(degrees: tuple[int, ...], visit, budget: _Budget):
+    """DFS over labeled realizations (vertex i gets degrees[i]); calls visit(edges).
+
+    Rows are chosen vertex by vertex among later vertices, pruned by residual
+    graphicality.  visit returns a non-None value to stop the search; that
+    value is returned.  Returns None when the space is exhausted.  The budget
+    is ticked once per search node.
+    """
+    n = len(degrees)
+    residual = list(degrees)
+    edges: set[tuple[int, int]] = set()
+
+    def feasible(start: int) -> bool:
+        rest = sorted(residual[start:], reverse=True)
+        return erdos_gallai_graphic_raw(rest)
+
+    def rec(i: int):
+        budget.tick()
+        if i == n:
+            if all(x == 0 for x in residual):
+                return visit(set(edges))
+            return None
+        need = residual[i]
+        candidates = [j for j in range(i + 1, n) if residual[j] > 0]
+        if need > len(candidates):
+            return None
+        if need == 0:
+            return rec(i + 1) if feasible(i + 1) else None
+        for pick in combinations(candidates, need):
+            for j in pick:
+                residual[j] -= 1
+                edges.add((i, j))
+            residual[i] = 0
+            if feasible(i + 1):
+                result = rec(i + 1)
+                if result is not None:
+                    return result
+            residual[i] = need
+            for j in pick:
+                residual[j] += 1
+                edges.discard((i, j))
+        return None
+
+    return rec(0)
 
 
 def bf_max_matching(g: SimpleGraph, budget: int = 2_000_000) -> tuple[int, Matching]:
@@ -125,8 +188,6 @@ def bf_conjecture_search(pi, k: int, realization_budget: int = 2_000_000,
 
 def enumerate_graphic(n: int, d_max: int) -> list[DegreeSequence]:
     """All non-increasing graphic sequences of length n with entries <= d_max, ascending."""
-    from itertools import combinations_with_replacement
-
     bound = min(d_max, n - 1) if n > 0 else 0
     out = []
     for asc in combinations_with_replacement(range(bound + 1), n):

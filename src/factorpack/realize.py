@@ -4,16 +4,18 @@
 k-regular spanning "residual" class plus black leftovers: it realizes pi - k
 deterministically, then fills the complement with a k-regular spanning
 subgraph.  The fill runs in stages: a greedy pairing pass and a circulant
-sweep for the common cases, an exact complement search via a degree-capacity
-gadget reduced to maximum matching, a two-switch hill-climb on the pi - k
-realization, and finally exhaustive backtracking over realizations, which
-must succeed whenever pi and pi - k are both graphic.
+sweep for the common cases, then an exact complement search via a
+degree-capacity gadget reduced to maximum matching.  When pi - k's
+realization has no k-regular complement, the last stage starts over from
+the Havel-Hakimi realization of pi and applies two-switches, each chosen
+deterministically so that a maximum degree-<=k subgraph grows, until that
+subgraph is a k-factor.  Every stage is deterministic and polynomial.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .coloring import (
     BLACK,
@@ -23,13 +25,7 @@ from .coloring import (
     DegreeSequence,
     make_colored_realization,
 )
-from .errors import (
-    BudgetExceeded,
-    NotGraphic,
-    NotGraphicMinusK,
-    PreconditionViolated,
-    SearchExhausted,
-)
+from .errors import InternalInvariantError, NotGraphic, NotGraphicMinusK, PreconditionViolated
 from .graphs import SimpleGraph, all_pairs, edge
 from .matching import Matching, maximum_matching
 
@@ -225,76 +221,46 @@ def _circulant_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
     return fill
 
 
-class _Budget:
-    """Search-node counter: raises BudgetExceeded once more than `limit` nodes are ticked."""
-
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise BudgetExceeded(self.nodes, self.limit)
+def _two_switches(g: SimpleGraph):
+    """Two-switches of g as new graphs: ab, cd -> ac, bd then ad, bc, over sorted edge pairs ab < cd."""
+    edges = g.sorted_edges()
+    for i, (a, b) in enumerate(edges):
+        for (c, d) in edges[i + 1:]:
+            if len({a, b, c, d}) < 4:
+                continue
+            for e1, e2 in ((edge(a, c), edge(b, d)), (edge(a, d), edge(b, c))):
+                if e1 not in g.edges and e2 not in g.edges:
+                    yield SimpleGraph(g.n, (g.edges - {(a, b), (c, d)}) | {e1, e2})
 
 
-def _enumerate_realizations(degrees: tuple[int, ...], visit, budget: _Budget | None = None):
-    """DFS over labeled realizations (vertex i gets degrees[i]); calls visit(edges).
+def _switch_repair(g: SimpleGraph, k: int) -> tuple[SimpleGraph, set[tuple[int, int]]]:
+    """A graph with g's vertex degrees and a k-factor of it, reached by two-switches of g.
 
-    Rows are chosen vertex by vertex among later vertices, pruned by residual
-    graphicality.  visit returns a non-None value to stop the search; that
-    value is returned.  Returns None when the space is exhausted.  A budget,
-    when given, is ticked once per search node.
+    While a maximum degree-<=k subgraph F has fewer than n*k/2 edges, apply the
+    first switch in ``_two_switches`` order that makes F larger.  Kundu's theorem
+    puts a k-factor in some realization; if no switch helps, raise, never guess.
     """
-    n = len(degrees)
-    residual = list(degrees)
-    edges: set[tuple[int, int]] = set()
-
-    def feasible(start: int) -> bool:
-        rest = sorted(residual[start:], reverse=True)
-        return erdos_gallai_graphic_raw(rest)
-
-    def rec(i: int):
-        if budget is not None:
-            budget.tick()
-        if i == n:
-            if all(x == 0 for x in residual):
-                return visit(set(edges))
-            return None
-        need = residual[i]
-        candidates = [j for j in range(i + 1, n) if residual[j] > 0]
-        if need > len(candidates):
-            return None
-        if need == 0:
-            return rec(i + 1) if feasible(i + 1) else None
-        for pick in combinations(candidates, need):
-            for j in pick:
-                residual[j] -= 1
-                edges.add((i, j))
-            residual[i] = 0
-            if feasible(i + 1):
-                result = rec(i + 1)
-                if result is not None:
-                    return result
-            residual[i] = need
-            for j in pick:
-                residual[j] += 1
-                edges.discard((i, j))
-        return None
-
-    return rec(0)
-
-
-_HILL_CLIMB_BUDGET = 200
+    target = g.n * k // 2
+    size, fill = max_degree_bounded_subgraph(g, k)
+    while size < target:
+        for trial in _two_switches(g):
+            trial_size, trial_fill = max_degree_bounded_subgraph(trial, k)
+            if trial_size > size:
+                g, size, fill = trial, trial_size, trial_fill
+                break
+        else:
+            raise InternalInvariantError(f"no two-switch grows the degree-<={k} subgraph past {size} edges")
+    return g, fill
 
 
 def kundu_realize(pi, k: int, seed: int = 0) -> ColoredRealization:
-    """Realization of pi with a k-regular residual class; black = the rest, white = non-edges."""
+    """Realization of pi with a k-regular residual class; black = the rest, white = non-edges.
+
+    Deterministic: `seed` is accepted for compatibility and changes nothing.
+    """
     ds = degree_sequence_checked(pi, k)
-    reduced = DegreeSequence.of([d - k for d in ds.degrees])
-    r = havel_hakimi_realize(reduced)
+    r = havel_hakimi_realize(DegreeSequence.of([d - k for d in ds.degrees]))
+    edges = r.edges
 
     fill = _greedy_fill(r, k)
     if fill is None:
@@ -302,46 +268,15 @@ def kundu_realize(pi, k: int, seed: int = 0) -> ColoredRealization:
     if fill is None:
         fill = find_k_factor(r.complement(), k)
     if fill is None:
-        rng = random.Random(seed)
-        target = ds.n * k // 2
-        best, _ = max_degree_bounded_subgraph(r.complement(), k)
-        for _ in range(_HILL_CLIMB_BUDGET):
-            trial = switch_randomize(r, 1, rng.randrange(1 << 30))
-            if trial.edges == r.edges:
-                continue
-            size, chosen = max_degree_bounded_subgraph(trial.complement(), k)
-            if size > best:
-                r, best = trial, size
-                if best == target:
-                    fill = chosen
-                    break
-        if fill is None:
-            found = _enumerate_realizations(
-                reduced.degrees,
-                lambda edges: _fill_or_none(ds.n, edges, k),
-            )
-            if found is None:
-                raise SearchExhausted(
-                    "no realization of pi - k admits a k-regular complement fill; "
-                    "this contradicts the existence guarantee and indicates a bug"
-                )
-            r_edges, fill = found
-            r = SimpleGraph(ds.n, r_edges)
+        g, fill = _switch_repair(havel_hakimi_realize(ds), k)
+        edges = g.edges
 
     assignments = []
     for p in all_pairs(ds.n):
         if p in fill:
             assignments.append((p, RESIDUAL))
-        elif p in r.edges:
+        elif p in edges:
             assignments.append((p, BLACK))
         else:
             assignments.append((p, WHITE))
     return make_colored_realization(ds.n, assignments, {RESIDUAL: k})
-
-
-def _fill_or_none(n: int, r_edges: set[tuple[int, int]], k: int):
-    h = SimpleGraph(n, r_edges).complement()
-    fill = find_k_factor(h, k)
-    if fill is None:
-        return None
-    return (set(r_edges), fill)

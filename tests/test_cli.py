@@ -56,6 +56,10 @@ def test_exit_code_k_too_small_is_usage():
     (["kundu", "--pi", "2,2,2", "--k", "-1"], 5),  # k < 0 is a usage error
     (["four-ones", "--pi", "2,2,2,2", "--k", "-1"], 5),
     (["half-k", "--pi", "2,2,2,2", "--k", "-1"], 5),
+    (["graphic", "--pi", "-1,1"], 1),  # a leading negative degree is a value, not an option
+    (["graphic", "--pi=-1,1"], 1),
+    (["kundu", "--pi", "-1,1", "--k", "0"], 1),
+    (["kundu", "--pi", "-1,3,2,2", "--k", "1", "--seed", "2"], 1),
 ])
 def test_exit_codes_at_the_input_boundary(argv, expected):
     code, _ = run_cli(argv)

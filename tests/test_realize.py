@@ -6,14 +6,29 @@ import pytest
 from factorpack import (
     SimpleGraph,
     erdos_gallai_graphic,
+    four_ones,
+    four_ones_realization,
+    half_k_realization,
     havel_hakimi_realize,
     kundu_realize,
+    replay_trace,
     switch_randomize,
+    verify_certificate,
 )
-from factorpack.coloring import BLACK, RESIDUAL, WHITE, DegreeSequence
-from factorpack.errors import NotGraphic, NotGraphicMinusK, PreconditionViolated
+from factorpack.coloring import BLACK, RESIDUAL, WHITE, DegreeSequence, certificate_from_realization
+from factorpack.errors import InternalInvariantError, NotGraphic, NotGraphicMinusK, PreconditionViolated
 from factorpack.graphs import all_pairs, edge
-from factorpack.realize import erdos_gallai_graphic_raw, find_k_factor
+from factorpack.realize import (
+    _circulant_fill,
+    _greedy_fill,
+    _switch_repair,
+    erdos_gallai_graphic_raw,
+    find_k_factor,
+    max_degree_bounded_subgraph,
+)
+
+# The n=20, k=1 input that kept the old exhaustive fallback busy for over 150 s.
+N20_K1 = [19, 18, 17, 17, 16, 16, 15, 14, 13, 13, 13, 12, 12, 12, 8, 6, 6, 4, 3, 2]
 
 
 def brute_degree_multisets(n: int) -> set[tuple[int, ...]]:
@@ -221,3 +236,78 @@ def test_find_k_factor_gadget_agrees_with_brute_force():
                 deg[v] += 1
             assert all(d == k for d in deg)
             assert found <= edges
+
+
+def reaches_switch_repair(pi, k: int) -> bool:
+    """kundu_realize's greedy, circulant and gadget fills all miss on the pi - k realization."""
+    r = havel_hakimi_realize([d - k for d in sorted(pi, reverse=True)])
+    return (_greedy_fill(r, k) is None and _circulant_fill(r, k) is None
+            and find_k_factor(r.complement(), k) is None)
+
+
+def test_switch_repair_two_triangles_needs_one_switch():
+    g = havel_hakimi_realize([2] * 6)
+    assert g.sorted_edges() == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    assert max_degree_bounded_subgraph(g, 1)[0] == 2
+    h, matching = _switch_repair(g, 1)
+    assert len(h.edges - g.edges) == 2 and len(g.edges - h.edges) == 2  # one two-switch
+    assert h.degrees() == [2] * 6
+    assert matching <= h.edges
+    assert sorted(v for e in matching for v in e) == list(range(6))
+
+
+def test_switch_repair_raises_when_no_switch_helps():
+    star = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])  # no realization of 3,1,1,1 has a 1-factor
+    with pytest.raises(InternalInvariantError):
+        _switch_repair(star, 1)
+
+
+def test_switch_repair_on_the_one_small_input_hh_misses():
+    pi = [7, 7, 7, 7, 7, 7, 5, 5, 1, 1]
+    assert reaches_switch_repair(pi, 1)
+    assert find_k_factor(havel_hakimi_realize(pi), 1) is None
+    real = kundu_realize(pi, 1)
+    assert real.class_graph(RESIDUAL).degrees() == [1] * 10
+    assert list(real.degrees) == pi
+
+
+def test_four_ones_on_the_n20_k1_input():
+    cert = four_ones(N20_K1, 1)
+    assert verify_certificate(N20_K1, 1, cert).passed
+
+
+def _replays(real, pi, k: int) -> bool:
+    """The pipeline's trace, replayed over kundu_realize's coloring, gives its final coloring."""
+    start = kundu_realize(pi, k).coloring_map()
+    return replay_trace(real.n, start, real.trace) == real.coloring_map()
+
+
+def test_switch_repair_fuzz():
+    """Seeded random (pi, k), n even in 10..24, kept when they reach the switch-repair stage."""
+    rng = random.Random(20261018)
+    found = []
+    while len(found) < 20:
+        n = rng.randrange(10, 25, 2)
+        p = rng.random()
+        deg = [0] * n
+        for (u, v) in all_pairs(n):
+            if rng.random() < p:
+                deg[u] += 1
+                deg[v] += 1
+        pi = sorted(deg, reverse=True)
+        if pi[-1] < 1:
+            continue
+        k = rng.randint(1, pi[-1])
+        if erdos_gallai_graphic_raw([d - k for d in pi]) and reaches_switch_repair(pi, k):
+            found.append((pi, k))
+    assert any(k >= 4 for (_pi, k) in found)
+    pipelines = [("kundu", kundu_realize), ("four-ones", four_ones_realization),
+                 ("half-k", half_k_realization)]
+    for pi, k in found:
+        for mode, build in pipelines:
+            if mode == "half-k" and k < 4:
+                continue
+            real = build(pi, k)
+            report = verify_certificate(pi, k, certificate_from_realization(real, mode, k))
+            assert report.passed, (mode, pi, k, report.violations)
+            assert _replays(real, pi, k), (mode, pi, k)
