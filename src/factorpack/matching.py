@@ -120,73 +120,107 @@ def maximum_matching(g: SimpleGraph, initial: Matching | None = None) -> Matchin
                 raise InvalidInitial(f"initial matching reuses a vertex on ({u}, {v})")
             match[u] = v
             match[v] = u
-    for v in range(n):
-        if match[v] == -1:
-            _augment_from(v, adj, match)
-    return Matching.from_edges((v, match[v]) for v in range(n) if match[v] > v)
-
-
-def _augment_from(root: int, adj: list[list[int]], match: list[int]) -> bool:
-    n = len(adj)
+    # Search state shared by every root; each search puts back what it set.
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
+    for v in range(n):
+        if match[v] == -1:
+            _augment_from(v, adj, match, p, base, used)
+    return Matching.from_edges((v, match[v]) for v in range(n) if match[v] > v)
+
+
+def _augment_from(root: int, adj: list[list[int]], match: list[int],
+                  p: list[int], base: list[int], used: list[bool]) -> bool:
+    """Grow one alternating tree from uncovered ``root``; augment along the first path found.
+
+    Edmonds' search with blossom contraction.  ``p`` (tree parents), ``base``
+    (blossom bases) and ``used`` (outer vertices) are all -1, identity and
+    False on entry, and are put back so on return.  The cost is proportional
+    to the tree the search grows, not to the graph: only reached vertices are
+    reset, the LCA walk marks bases in a set, and a contraction relabels only
+    the members of the bases it merges (``members`` lists them per blossom
+    base) instead of scanning every vertex.  Vertices a contraction makes
+    outer join the queue in ascending id order, the order such a full scan
+    would give, so the search visits vertices in one fixed order and
+    ``maximum_matching`` returns the same edge set on every input.
+    """
     used[root] = True
+    reached = [root]  # every vertex whose p, base or used this search may set
+    members: dict[int, list[int]] = {}  # blossom base -> every vertex with that base
     q: deque[int] = deque([root])
 
     def lca(a: int, b: int) -> int:
-        walked = [False] * n
+        walked = set()
         x = a
         while True:
             x = base[x]
-            walked[x] = True
+            walked.add(x)
             if match[x] == -1:
                 break
             x = p[match[x]]
         y = b
         while True:
             y = base[y]
-            if walked[y]:
+            if y in walked:
                 return y
             y = p[match[y]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, merged: set[int]) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            merged.add(base[v])
+            merged.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
-    while q:
-        v = q.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and p[match[to]] != -1):
-                cur = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, cur, to, in_blossom)
-                mark_path(to, cur, v, in_blossom)
-                for x in range(n):
-                    if in_blossom[base[x]]:
-                        base[x] = cur
-                        if not used[x]:
-                            used[x] = True
-                            q.append(x)
-            elif p[to] == -1:
-                p[to] = v
-                if match[to] == -1:
-                    while to != -1:
-                        pv = p[to]
-                        ppv = match[pv]
-                        match[to] = pv
-                        match[pv] = to
-                        to = ppv
-                    return True
-                used[match[to]] = True
-                q.append(match[to])
-    return False
+    try:
+        while q:
+            v = q.popleft()
+            bv, mv = base[v], match[v]
+            for to in adj[v]:
+                if to == mv or base[to] == bv:
+                    continue
+                mt = match[to]
+                if to == root or (mt != -1 and p[mt] != -1):
+                    cur = lca(v, to)
+                    merged: set[int] = set()
+                    mark_path(v, cur, to, merged)
+                    mark_path(to, cur, v, merged)
+                    # merged never holds cur: the mate of cur, if any, is its tree parent.
+                    blossom = members.setdefault(cur, [cur])
+                    fresh = []
+                    for b in merged:
+                        group = members.pop(b, (b,))
+                        blossom.extend(group)
+                        for x in group:
+                            base[x] = cur
+                            if not used[x]:
+                                used[x] = True
+                                fresh.append(x)
+                    fresh.sort()
+                    q.extend(fresh)
+                    bv = base[v]
+                elif p[to] == -1:
+                    p[to] = v
+                    reached.append(to)
+                    if mt == -1:
+                        while to != -1:
+                            pv = p[to]
+                            ppv = match[pv]
+                            match[to] = pv
+                            match[pv] = to
+                            to = ppv
+                        return True
+                    reached.append(mt)
+                    used[mt] = True
+                    q.append(mt)
+        return False
+    finally:
+        for x in reached:
+            p[x] = -1
+            base[x] = x
+            used[x] = False
 
 
 def _alternating_tree(adj: list[list[int]], mate: dict[int, int], root: int):

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -10,6 +11,7 @@ from factorpack import (
     maximum_matching,
     toggle_alternating_path,
 )
+from factorpack import realize
 from factorpack.errors import InvalidInitial, NotAlternating, NotRegular, OddLengthPath
 from factorpack.matching import check_odd_cycle_certificate
 from tests.conftest import random_regular_graph
@@ -83,6 +85,145 @@ def test_maximum_matching_agrees_with_brute_force_randomized(rng):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = SimpleGraph(n, {p for p in pairs if rng.random() < 0.45})
         assert maximum_matching(g).size == bf_max_matching(g)[0]
+
+
+# Reference: the search as it was before contraction became proportional to the
+# blossom.  Each contraction scans all vertices, so the queue order it yields is
+# the one the faster search must reproduce.
+def reference_augment_from(root: int, adj: list[list[int]], match: list[int]) -> bool:
+    n = len(adj)
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    used[root] = True
+    q: deque[int] = deque([root])
+
+    def lca(a: int, b: int) -> int:
+        walked = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            walked[x] = True
+            if match[x] == -1:
+                break
+            x = p[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if walked[y]:
+                return y
+            y = p[match[y]]
+
+    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    while q:
+        v = q.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                cur = lca(v, to)
+                in_blossom = [False] * n
+                mark_path(v, cur, to, in_blossom)
+                mark_path(to, cur, v, in_blossom)
+                for x in range(n):
+                    if in_blossom[base[x]]:
+                        base[x] = cur
+                        if not used[x]:
+                            used[x] = True
+                            q.append(x)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    while to != -1:
+                        pv = p[to]
+                        ppv = match[pv]
+                        match[to] = pv
+                        match[pv] = to
+                        to = ppv
+                    return True
+                used[match[to]] = True
+                q.append(match[to])
+    return False
+
+
+def reference_maximum_matching(g, initial=None):
+    """Reference: ``maximum_matching`` with the O(V)-per-contraction search it had before."""
+    n = g.n
+    adj = g.adjacency()
+    match = [-1] * n
+    for (u, v) in (initial.edges if initial is not None else ()):
+        match[u] = v
+        match[v] = u
+    for v in range(n):
+        if match[v] == -1:
+            reference_augment_from(v, adj, match)
+    return Matching.from_edges((v, match[v]) for v in range(n) if match[v] > v)
+
+
+def gnp(rng, n, p):
+    return SimpleGraph(n, {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p})
+
+
+def partial_matching(rng, g):
+    """Some edges of g, taken greedily in a seeded order, about half of a maximal matching."""
+    edges = g.sorted_edges()
+    rng.shuffle(edges)
+    taken, covered = [], set()
+    for (u, v) in edges:
+        if u not in covered and v not in covered and rng.random() < 0.5:
+            taken.append((u, v))
+            covered.update((u, v))
+    return Matching.from_edges(taken)
+
+
+def gadgets_of(h, k, monkeypatch):
+    """The (gadget, seed matching) pairs max_degree_bounded_subgraph hands to maximum_matching."""
+    seen = []
+
+    def spy(g, initial=None):
+        seen.append((g, initial))
+        return maximum_matching(g, initial)
+
+    with monkeypatch.context() as m:
+        m.setattr(realize, "maximum_matching", spy)
+        realize.max_degree_bounded_subgraph(h, k)
+    assert len(seen) == 1
+    return seen
+
+
+def test_maximum_matching_same_edges_as_reference(monkeypatch):
+    """Same edge set as the reference, with and without a starting matching."""
+    rng = random.Random(20261018)
+    plain = [PETERSEN, two_triangles()]
+    plain += [gnp(rng, n, p) for n in (5, 9, 16, 25, 40, 60) for p in (2.0 / n, 0.1, 0.3, 0.5, 0.8)]
+    plain += [random_regular_graph(rng, n, r) for n, r in ((10, 3), (16, 5), (20, 4), (30, 7), (44, 3), (60, 6))]
+    cases = [(g, partial_matching(rng, g)) for g in plain]
+    for n, p, k in ((8, 0.6, 2), (12, 0.5, 3), (12, 0.9, 5), (16, 0.5, 4), (24, 0.5, 6), (30, 0.3, 3)):
+        h = gnp(rng, n, p)
+        cases += gadgets_of(h, k, monkeypatch) + gadgets_of(h.complement(), k, monkeypatch)
+    for g, initial in cases:
+        for start in (None, initial):
+            expected = reference_maximum_matching(g, start)
+            assert maximum_matching(g, start).edges == expected.edges, (g.n, sorted(g.edges), start)
+
+
+def test_maximum_matching_size_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    for n in (10, 31, 64, 101, 150, 200):
+        for p in (1.0 / n, 2.0 / n, 4.0 / n, 0.3):
+            g = gnp(rng, n, p)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            assert maximum_matching(g).size == len(nx.max_weight_matching(h, maxcardinality=True)), (n, p)
 
 
 def test_lemma_odd_perfect_matching_case():

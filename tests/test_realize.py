@@ -311,3 +311,27 @@ def test_switch_repair_fuzz():
             report = verify_certificate(pi, k, certificate_from_realization(real, mode, k))
             assert report.passed, (mode, pi, k, report.violations)
             assert _replays(real, pi, k), (mode, pi, k)
+
+
+def test_gadget_stage_at_n64():
+    """A seeded G(64, 1/2) degree sequence, k=16, whose greedy and circulant fills both miss."""
+    rng = random.Random(20261018)
+    n, k = 64, 16
+    while True:
+        deg = [0] * n
+        for (u, v) in all_pairs(n):
+            if rng.random() < 0.5:
+                deg[u] += 1
+                deg[v] += 1
+        pi = sorted(deg, reverse=True)
+        if pi[-1] < k or not erdos_gallai_graphic_raw([d - k for d in pi]):
+            continue
+        r = havel_hakimi_realize([d - k for d in pi])
+        if _greedy_fill(r, k) is None and _circulant_fill(r, k) is None:
+            break
+    real = kundu_realize(pi, k)
+    assert verify_certificate(pi, k, certificate_from_realization(real, "kundu", k)).passed
+    half = half_k_realization(pi, k)
+    report = verify_certificate(pi, k, certificate_from_realization(half, "half-k", k))
+    assert report.passed, report.violations
+    assert replay_trace(n, real.coloring_map(), half.trace) == half.coloring_map()
