@@ -8,7 +8,9 @@ k=1), the exact gadget (``6,6,5,5,5,5,5,5`` k=4) and switch repair
 (``4,4,4,4,2,2`` k=1 and ``7,7,7,5,5,5,5,3`` k=1).  The ``hillclimb`` and
 ``exhaustive`` cases keep the names of the two stages that switch repair
 replaced; seeds 0 and 3 now give the same bytes, since ``--seed`` changes
-no output.
+no output.  ``four-ones-6x18-k2`` and ``half-k-4x20-k4-trace`` pin peels
+that merge two or more pairs of odd cycles; every peel at n <= 8 merges at
+most once.
 
 To re-record after a deliberate output change, from the repository root:
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -70,6 +72,8 @@ CASES = [
     ("four-ones-minus-k-not-graphic", ["four-ones", "--pi", "2,2,1,1", "--k", "2"], 2),
     ("four-ones-odd-n", ["four-ones", "--pi", "2,2,2,2,2", "--k", "2"], 3),
     ("four-ones-k0", ["four-ones", "--pi", "2,2,2,2", "--k", "0"], 5),
+    # one peel that merges three pairs of odd cycles
+    ("four-ones-6x18-k2", ["four-ones", "--pi", ",".join(["6"] * 18), "--k", "2"], 0),
     # half-k
     ("half-k-5x6-k5", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5"], 0),
     ("half-k-5x6-k5-text", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5", "--format", "text"], 0),
@@ -110,12 +114,14 @@ CASES = [
     ("sweep-4-text", ["sweep", "--n", "4", "--format", "text"], 0),
     ("sweep-6-half-k", ["sweep", "--n", "6", "--mode", "half-k"], 0),
     ("half-k-5x6-k5-trace", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5", "--trace", TRACE], 0),
+    ("half-k-4x20-k4-trace", ["half-k", "--pi", ",".join(["4"] * 20), "--k", "4", "--trace", TRACE], 0),
 ]
 
 # Side files: case name -> (argv placeholder, golden file).
 SIDE_FILES = {
     "sweep-4-6-report": (REPORT, "sweep-4-6-report.csv"),
     "half-k-5x6-k5-trace": (TRACE, "half-k-5x6-k5-trace.json"),
+    "half-k-4x20-k4-trace": (TRACE, "half-k-4x20-k4-trace.json"),
 }
 
 
