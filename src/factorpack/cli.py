@@ -18,10 +18,8 @@ import time
 
 from .coloring import certificate_from_realization, replay_trace
 from .errors import (
-    BudgetExceeded,
     FactorpackError,
     InternalInvariantError,
-    KTooSmall,
     NotEvenRegular,
     NotGraphic,
     NotGraphicMinusK,
@@ -45,6 +43,14 @@ EXIT_NOT_GRAPHIC_MINUS_K = 2
 EXIT_ODD_LENGTH = 3
 EXIT_INTERNAL = 4
 EXIT_USAGE = 5
+
+# Exit code per error type, the first match wins; any other library error exits 4.
+_EXIT_CODES = (
+    (NotGraphic, EXIT_NOT_GRAPHIC),
+    (NotGraphicMinusK, EXIT_NOT_GRAPHIC_MINUS_K),
+    (OddVertexCount, EXIT_ODD_LENGTH),
+    ((UsageError, NotEvenRegular, OSError, ValueError), EXIT_USAGE),
+)
 
 
 def _parse_pi(text: str) -> list[int]:
@@ -239,7 +245,9 @@ def _cmd_sweep(args, out) -> int:
                     if mode == "half-k" and k < 4:
                         continue
                     tasks.append((n, ds.degrees, k, mode, args.seed))
-    workers = _sweep_workers(args.workers or int(os.environ.get("FACTORPACK_WORKERS", "1")), len(tasks))
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    workers = _sweep_workers(args.workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("four-ones", "half-k", "both"), default="both")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, help="write per-instance CSV here")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_sweep)
 
@@ -331,21 +339,10 @@ def run(argv, out=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args, out)
-    except NotGraphic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GRAPHIC
-    except NotGraphicMinusK as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GRAPHIC_MINUS_K
-    except OddVertexCount as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ODD_LENGTH
-    except (KTooSmall, NotEvenRegular, UsageError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InternalInvariantError, BudgetExceeded, FactorpackError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (FactorpackError, OSError, ValueError) as exc:  # ValueError covers bad JSON
+        code = next((c for types, c in _EXIT_CODES if isinstance(exc, types)), EXIT_INTERNAL)
+        print(f"{'internal error' if code == EXIT_INTERNAL else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

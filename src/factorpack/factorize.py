@@ -1,14 +1,16 @@
 """Pipelines that pack edge-disjoint regular factors into a realization.
 
 ``four_ones`` peels perfect matchings out of the k-regular residual class one
-at a time.  Each peel drives the residual's maximum matching to perfection by
-repeatedly merging two of the leftover odd cycles: a residual edge between
-them bridges directly; otherwise a monotone degree triple on each cycle
-yields four cross edges, and a case analysis (white switch, black switch, or
-a parallel same-class pair resolved by a plain two-switch) always produces a
+at a time.  Each peel computes one odd-cycle certificate of the residual
+class (a maximum matching plus one fully matched odd cycle per uncovered
+vertex) and merges its cycles in pairs: a residual edge between two cycles
+bridges directly; otherwise a monotone degree triple on each cycle yields
+four cross edges, and a case analysis (white switch, black switch, or a
+parallel same-class pair resolved by a plain two-switch) always produces a
 bridge while preserving every class's regularity.  With at most three peeled
 1-factors present, the pigeonhole over the four cross edges makes the case
-table total.
+table total.  A merge recolors only edges with an endpoint in its two
+cycles, so the certificate's other cycles stay valid for the later pairs.
 
 ``half_k`` trades the residual away: it splits the even-degree residual into
 2-factors (Euler orientation plus repeated bipartite matchings), then turns
@@ -49,9 +51,6 @@ from .graphs import SimpleGraph, connected_components, cycles_of_two_regular, ed
 from .matching import Matching, lemma_odd_certificate, maximum_matching
 from .realize import degree_sequence_checked, kundu_realize
 from .switching import multi_switch, parallel_two_switch
-
-CONTEXT_RESIDUAL = "residual"
-CONTEXT_TEMP_BLACK = "temp-black"
 
 
 @dataclass(frozen=True)
@@ -108,18 +107,16 @@ def _cycle_edge_at(cycle: tuple[int, ...], x: int, avoid: set[int]) -> tuple[int
     raise InternalInvariantError(f"no cycle edge at {x} avoiding {sorted(avoid)}")
 
 
-def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching,
-                         c1, c2, factor: Color, context: str = CONTEXT_RESIDUAL):
+def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, work: Color):
     """Extend the matching to cover both odd cycles; returns (real, matching, case).
 
-    In the residual context the matching lives in `factor`; in the temp-black
-    context the cycles' edges have already been recolored black and the
-    matching lives in black.  Cycles other than c1 and c2 are never touched.
-    ``case`` is the CrossEdgeCase that produced the bridge between them.
+    ``work`` holds the cycles and the matching: RESIDUAL when peeling, BLACK
+    when converting a 2-factor recolored black; it picks the switch strategy.
+    Cycles other than c1 and c2 are never touched.  ``case`` is the
+    CrossEdgeCase that produced the bridge between them.
     """
-    if context not in (CONTEXT_RESIDUAL, CONTEXT_TEMP_BLACK):
-        raise PreconditionViolated(f"unknown context {context!r}")
-    work = factor if context == CONTEXT_RESIDUAL else BLACK
+    if work not in (RESIDUAL, BLACK):
+        raise PreconditionViolated(f"odd cycles must lie in {RESIDUAL} or {BLACK}, not {work}")
     c1, c2 = tuple(c1), tuple(c2)
     for cyc in (c1, c2):
         if len(cyc) % 2 == 0 or len(cyc) < 3:
@@ -140,7 +137,7 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching,
     cross = sorted(edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) == work)
     if cross:
         case = CrossEdgeCase(edges=(cross[0],) * 4, colors=(work,) * 4, resolution="bridge")
-    elif context == CONTEXT_RESIDUAL:
+    elif work == RESIDUAL:
         case = _switch_residual_pair(real, c1, c2)
     else:
         case = _switch_temp_black_pair(real, c1, c2)
@@ -209,20 +206,11 @@ def _switch_residual_pair(real: ColoredRealization, c1, c2) -> CrossEdgeCase:
 
 def _switch_temp_black_pair(real: ColoredRealization, c1, c2) -> CrossEdgeCase:
     degrees = real.degrees
-    pick = None
-    for ca, cb in ((c1, c2), (c2, c1)):
-        for uu in sorted(ca):
-            for vv in sorted(cb):
-                if degrees[uu] <= degrees[vv]:
-                    pick = (ca, cb, uu, vv)
-                    break
-            if pick:
-                break
-        if pick:
-            break
+    pick = next(((ca, uu, vv) for ca, cb in ((c1, c2), (c2, c1)) for uu in sorted(ca)
+                 for vv in sorted(cb) if degrees[uu] <= degrees[vv]), None)
     if pick is None:
         raise InternalInvariantError("no degree-ordered vertex pair across two cycles")
-    ca, _cb, uu, vv = pick
+    ca, uu, vv = pick
     ww = min(_cycle_neighbors(tuple(ca), uu))
     x1 = edge(uu, ww)
     multi_switch(real, uu, vv, ww, BLACK)
@@ -237,25 +225,36 @@ def peel_one_factor(real: ColoredRealization) -> ColoredRealization:
         raise TooManyOneFactors("already four 1-factors: the cross-edge pigeonhole expires")
     if real.n % 2 != 0:
         raise OddVertexCount(f"n={real.n} is odd")
-    residual_degree = real.declared[RESIDUAL]
-    m = Matching.from_edges([])
-    while True:
-        cert = lemma_odd_certificate(real.class_graph(RESIDUAL), initial=m)
-        m = cert.matching
-        if m.is_perfect(real.n):
-            break
-        hosts = sorted(cert.cycles)
-        if len(hosts) < 2:
-            raise InternalInvariantError("odd number of uncovered vertices on an even vertex count")
-        real, m, _case = merge_odd_cycle_pair(
-            real, m, cert.cycles[hosts[0]], cert.cycles[hosts[1]], RESIDUAL, CONTEXT_RESIDUAL)
+    cert = lemma_odd_certificate(real.class_graph(RESIDUAL))
+    return _complete_one_factor(
+        real, RESIDUAL, cert.matching, [cert.cycles[h] for h in sorted(cert.cycles)],
+        op="peel_one_factor", params={},
+        declared_updates={RESIDUAL: real.declared[RESIDUAL] - 1})
+
+
+def _complete_one_factor(real: ColoredRealization, work: Color, m: Matching, odd_cycles,
+                         op: str, params: dict, declared_updates: dict) -> ColoredRealization:
+    """Merge the odd cycles in consecutive pairs, then declare the perfect matching a 1-factor.
+
+    The matching leaves ``work`` in one ``op`` batch whose params end with the
+    new factor's ``index``.  ``m`` must cover every vertex outside the cycles.
+    """
+    if len(odd_cycles) % 2 != 0:
+        raise InternalInvariantError("odd number of odd cycles on an even vertex count")
+    for i in range(0, len(odd_cycles), 2):
+        real, m, _case = merge_odd_cycle_pair(real, m, odd_cycles[i], odd_cycles[i + 1], work)
+    for e in m.edges:
+        if real.color_of(*e) != work:
+            raise InternalInvariantError(f"matching edge {e} left {work} during the merges")
+    if not m.is_perfect(real.n):
+        raise InternalInvariantError("the merges finished with an imperfect matching")
     idx = real.one_factor_count()
     real.apply_swap_batch(
         [(e, one_factor(idx)) for e in m.sorted_edges()],
         expect_conservation=False,
-        op="peel_one_factor",
-        params={"index": idx},
-        declared_updates={RESIDUAL: residual_degree - 1, one_factor(idx): 1},
+        op=op,
+        params={**params, "index": idx},
+        declared_updates={**declared_updates, one_factor(idx): 1},
     )
     return real
 
@@ -329,25 +328,8 @@ def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization
             m_edges |= {edge(cyc[i], cyc[i + 1]) for i in range(0, len(cyc), 2)}
         else:
             odd_cycles.append(cyc)
-    if len(odd_cycles) % 2 != 0:
-        raise InternalInvariantError("odd number of odd cycles on an even vertex count")
-    m = Matching.from_edges(m_edges)
-    for i in range(0, len(odd_cycles), 2):
-        real, m, _case = merge_odd_cycle_pair(
-            real, m, odd_cycles[i], odd_cycles[i + 1], f, CONTEXT_TEMP_BLACK)
-        for e in m.edges:
-            if real.color_of(*e) != BLACK:
-                raise InternalInvariantError(f"matching edge {e} lost its black color mid-conversion")
-    if not m.is_perfect(real.n):
-        raise InternalInvariantError("conversion finished with an imperfect matching")
-    idx = real.one_factor_count()
-    real.apply_swap_batch(
-        [(e, one_factor(idx)) for e in m.sorted_edges()],
-        expect_conservation=False,
-        op="convert_two_factor",
-        params={"factor": str(f), "index": idx},
-        declared_updates={one_factor(idx): 1},
-    )
+    _complete_one_factor(real, BLACK, Matching.from_edges(m_edges), odd_cycles,
+                         op="convert_two_factor", params={"factor": str(f)}, declared_updates={})
     higher = sorted((c for c in real.declared if c.kind == "two" and c.index > f.index),
                     key=Color.sort_key)
     for c in higher:

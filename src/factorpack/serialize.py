@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .coloring import Color, FactorCertificate, SwitchTrace
+from .coloring import Batch, Color, FactorCertificate, SwitchTrace
+from .errors import UsageError
 from .graphs import SimpleGraph
 
 
@@ -37,21 +38,42 @@ def certificate_to_json(cert: FactorCertificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
 
 
-def certificate_from_dict(data: dict) -> FactorCertificate:
-    residual = None
-    if data.get("residual") is not None:
-        residual = (int(data["residual"]["degree"]),
-                    tuple((int(u), int(v)) for (u, v) in data["residual"]["edges"]))
-    return FactorCertificate(
-        n=int(data["n"]),
-        pi=tuple(int(d) for d in data["pi"]),
-        k=int(data["k"]),
-        mode=str(data["mode"]),
-        one_factors=tuple(tuple((int(u), int(v)) for (u, v) in m) for m in data["one_factors"]),
-        two_factors=tuple(tuple((int(u), int(v)) for (u, v) in f) for f in data["two_factors"]),
-        residual=residual,
-        black_edges=tuple((int(u), int(v)) for (u, v) in data["black_edges"]),
-    )
+def _int_in(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def _edges_in(rows) -> tuple[tuple[int, int], ...]:
+    return tuple((_int_in(u), _int_in(v)) for (u, v) in rows)
+
+
+# Certificate fields in FactorCertificate order, each with its parser.
+_CERT_FIELDS = {
+    "n": _int_in,
+    "pi": lambda ds: tuple(map(_int_in, ds)),
+    "k": _int_in,
+    "mode": str,
+    "one_factors": lambda fs: tuple(map(_edges_in, fs)),
+    "two_factors": lambda fs: tuple(map(_edges_in, fs)),
+    "residual": lambda r: None if r is None else (_int_in(r["degree"]), _edges_in(r["edges"])),
+    "black_edges": _edges_in,
+}
+
+
+def certificate_from_dict(data) -> FactorCertificate:
+    """Parse a certificate; raises UsageError naming the first missing or malformed field."""
+    if not isinstance(data, dict):
+        raise UsageError(f"certificate must be a JSON object, not {type(data).__name__}")
+    fields = {}
+    for key, parse in _CERT_FIELDS.items():
+        if key not in data and key != "residual":
+            raise UsageError(f"certificate has no {key!r} field")
+        try:
+            fields[key] = parse(data.get(key))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"certificate field {key!r} is malformed: {exc!r}") from exc
+    return FactorCertificate(**fields)
 
 
 def graph_to_dict(g: SimpleGraph) -> dict:
@@ -74,8 +96,6 @@ def trace_to_dict(n: int, initial: dict, trace: SwitchTrace) -> dict:
 
 
 def trace_from_dict(data: dict):
-    from .coloring import Batch
-
     initial = {(int(u), int(v)): Color.parse(c) for (u, v, c) in data["initial"]}
     trace = SwitchTrace()
     for b in data["batches"]:

@@ -60,8 +60,17 @@ def test_exit_code_k_too_small_is_usage():
     (["graphic", "--pi=-1,1"], 1),
     (["kundu", "--pi", "-1,1", "--k", "0"], 1),
     (["kundu", "--pi", "-1,3,2,2", "--k", "1", "--seed", "2"], 1),
+    (["sweep", "--n", "4", "--workers", "0"], 5),
+    (["sweep", "--n", "4", "--workers", "-2"], 5),
+    (["verify", "--cert", "-", "<stdin>", "{}"], 5),  # malformed certificates are usage errors
+    (["verify", "--cert", "-", "<stdin>", "[1, 2]"], 5),
+    (["verify", "--cert", "-", "<stdin>", '{"n": 4.5}'], 5),
 ])
-def test_exit_codes_at_the_input_boundary(argv, expected):
+def test_exit_codes_at_the_input_boundary(argv, expected, monkeypatch):
+    if "<stdin>" in argv:
+        i = argv.index("<stdin>")
+        argv, stdin = argv[:i], argv[i + 1]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code, _ = run_cli(argv)
     assert code == expected
 

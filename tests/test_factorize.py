@@ -4,14 +4,17 @@ from factorpack import (
     Matching,
     SimpleGraph,
     bf_disjoint_one_factors,
+    certificate_from_realization,
     convert_two_factor,
     four_ones,
+    four_ones_realization,
     half_k,
     kundu_realize,
     merge_odd_cycle_pair,
     monotone_triple,
     peel_one_factor,
     petersen_two_factorize,
+    replay_trace,
     verify_certificate,
 )
 from factorpack.coloring import BLACK, RESIDUAL, WHITE, make_colored_realization, one_factor, two_factor
@@ -23,7 +26,6 @@ from factorpack.errors import (
     OddVertexCount,
     TooManyOneFactors,
 )
-from factorpack.factorize import CONTEXT_RESIDUAL, CONTEXT_TEMP_BLACK
 from factorpack.graphs import all_pairs, cycles_of_two_regular, edge
 from tests.conftest import recount_colors
 
@@ -68,8 +70,7 @@ def prism_with_partial_matching():
 
 def test_merge_direct_bridge():
     real, m = prism_with_partial_matching()
-    real, merged, case = merge_odd_cycle_pair(real, m, (0, 1, 2), (3, 4, 5), RESIDUAL,
-                                              CONTEXT_RESIDUAL)
+    real, merged, case = merge_odd_cycle_pair(real, m, (0, 1, 2), (3, 4, 5), RESIDUAL)
     assert case.resolution == "bridge"
     assert merged.size == 3
     assert merged.covered == frozenset(range(6))
@@ -81,8 +82,7 @@ def test_merge_white_switch_two_triangles():
     real = make_colored_realization(6, asg, {RESIDUAL: 2})
     m = Matching.from_edges([(1, 2), (4, 5)])
     before = recount_colors(real)
-    real, merged, case = merge_odd_cycle_pair(real, m, (0, 1, 2), (3, 4, 5), RESIDUAL,
-                                              CONTEXT_RESIDUAL)
+    real, merged, case = merge_odd_cycle_pair(real, m, (0, 1, 2), (3, 4, 5), RESIDUAL)
     assert case.resolution.startswith("white")
     assert merged.is_perfect(6)
     assert recount_colors(real) == before
@@ -114,8 +114,7 @@ def test_merge_parallel_pair_case():
     real = k6_parallel_pair_instance()
     m = Matching.from_edges([(1, 2), (4, 5)])
     before = recount_colors(real)
-    real, merged, case = merge_odd_cycle_pair(real, m, (0, 1, 2), (3, 4, 5), RESIDUAL,
-                                              CONTEXT_RESIDUAL)
+    real, merged, case = merge_odd_cycle_pair(real, m, (0, 1, 2), (3, 4, 5), RESIDUAL)
     assert case.resolution.startswith("parallel")
     assert merged.is_perfect(6)
     assert recount_colors(real) == before
@@ -175,6 +174,45 @@ def test_peel_too_many_one_factors():
         peel_one_factor(real)
     with pytest.raises(TooManyOneFactors):
         peel_one_factor(real)
+
+
+def test_peel_certifies_once_and_merges_pairs(monkeypatch):
+    import factorpack.factorize as factorize
+
+    calls = {"certificates": 0, "merges": 0}
+    per_peel = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    peel_one = factorize.peel_one_factor
+
+    def peel(real):
+        calls["certificates"] = calls["merges"] = 0
+        result = peel_one(real)
+        per_peel.append(dict(calls))
+        return result
+
+    monkeypatch.setattr(factorize, "lemma_odd_certificate",
+                        counting("certificates", factorize.lemma_odd_certificate))
+    monkeypatch.setattr(factorize, "merge_odd_cycle_pair",
+                        counting("merges", factorize.merge_odd_cycle_pair))
+    monkeypatch.setattr(factorize, "peel_one_factor", peel)
+    pi = [6] * 18
+    real = four_ones_realization(pi, 2)
+    assert [p["certificates"] for p in per_peel] == [1, 1]
+    assert max(p["merges"] for p in per_peel) >= 2
+    assert verify_certificate(pi, 2, certificate_from_realization(real, "four-ones", 2)).passed
+    final = real.coloring_map()
+    initial = dict(final)
+    for batch in reversed(real.trace.batches):
+        for (e, old, _new) in reversed(batch.changes):
+            initial[e] = old
+    assert initial == kundu_realize(pi, 2).coloring_map()
+    assert replay_trace(real.n, initial, real.trace) == final
 
 
 # --- four_ones ---
