@@ -48,7 +48,7 @@ def _edges_in(rows) -> tuple[tuple[int, int], ...]:
     return tuple((_int_in(u), _int_in(v)) for (u, v) in rows)
 
 
-# Certificate fields in FactorCertificate order, each with its parser.
+# Certificate fields in FactorCertificate order, each with its parser; "residual" may be absent.
 _CERT_FIELDS = {
     "n": _int_in,
     "pi": lambda ds: tuple(map(_int_in, ds)),
