@@ -81,6 +81,7 @@ CASES = [
     ("half-k-6x8-k6-text",
      ["half-k", "--pi", "6,6,6,6,6,6,6,6", "--k", "6", "--seed", "3", "--format", "text"], 0),
     ("half-k-7x8-k7", ["half-k", "--pi", "7,7,7,7,7,7,7,7", "--k", "7", "--seed", "2"], 0),
+    ("half-k-7x6-6x2-k5", ["half-k", "--pi", "7,7,7,7,7,7,6,6", "--k", "5"], 0),
     ("half-k-gadget", ["half-k", "--pi", "6,6,5,5,5,5,5,5", "--k", "4"], 0),
     ("half-k-4x6-k4-text", ["half-k", "--pi", "4,4,4,4,4,4", "--k", "4", "--format", "text"], 0),
     ("half-k-k-too-small", ["half-k", "--pi", "2,2,2,2", "--k", "2"], 5),
