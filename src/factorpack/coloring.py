@@ -153,7 +153,6 @@ class ColoredRealization:
         # Per-vertex realization degree, pinned at construction; switches must
         # never change it (white counts stay n - 1 - d_v).
         self.degrees = tuple(n - 1 - self._counts[v].get(WHITE, 0) for v in range(n))
-        self.k = sum(self.declared.values())
         self.validate()
 
     # --- queries ---
@@ -208,15 +207,15 @@ class ColoredRealization:
 
     # --- mutation ---
 
-    def apply_swap_batch(self, batch, expect_conservation: bool = True, op: str = "batch",
-                         params: dict | None = None,
+    def apply_swap_batch(self, batch, op: str = "batch", params: dict | None = None,
                          declared_updates: dict[Color, int | None] | None = None) -> "ColoredRealization":
         """Atomically recolor the given (edge, new color) pairs.
 
-        With ``expect_conservation`` every per-vertex per-color degree must be
-        unchanged, otherwise the whole batch is rolled back.  Deliberate class
-        transitions pass ``expect_conservation=False`` together with
-        ``declared_updates`` (color -> new degree, or None to undeclare).
+        Without ``declared_updates`` every per-vertex per-color degree must be
+        unchanged.  Deliberate class transitions pass ``declared_updates``
+        (color -> new degree, or None to undeclare), and the declared classes
+        are then revalidated.  If any check fails, the colors and the declared
+        degrees are restored and the batch is not traced.
         """
         seen: set[tuple[int, int]] = set()
         changes: list[tuple[tuple[int, int], Color, Color]] = []
@@ -241,25 +240,26 @@ class ColoredRealization:
                     self._counts[x][dst] = self._counts[x].get(dst, 0) + 1
 
         apply(forward=True)
-        if expect_conservation:
-            delta: dict[tuple[int, Color], int] = {}
-            for (e, old, new) in changes:
-                for x in e:
-                    delta[(x, old)] = delta.get((x, old), 0) - 1
-                    delta[(x, new)] = delta.get((x, new), 0) + 1
-            for (x, c), d in sorted(delta.items(), key=lambda it: (it[0][0], it[0][1].sort_key())):
-                if d != 0:
-                    apply(forward=False)
-                    raise ConservationViolation(x, c, d)
-        if declared_updates:
-            for c, m in declared_updates.items():
-                if m is None:
-                    self.declared.pop(c, None)
-                else:
-                    self.declared[c] = m
-            self.k = sum(self.declared.values())
-        if STRICT_VALIDATION or not expect_conservation:
-            self.validate()
+        declared = self.declared
+        try:
+            if declared_updates:
+                self.declared = {c: m for c, m in {**declared, **declared_updates}.items()
+                                 if m is not None}
+            else:
+                delta: dict[tuple[int, Color], int] = {}
+                for (e, old, new) in changes:
+                    for x in e:
+                        delta[(x, old)] = delta.get((x, old), 0) - 1
+                        delta[(x, new)] = delta.get((x, new), 0) + 1
+                for (x, c), d in sorted(delta.items(), key=lambda it: (it[0][0], it[0][1].sort_key())):
+                    if d != 0:
+                        raise ConservationViolation(x, c, d)
+            if STRICT_VALIDATION or declared_updates:
+                self.validate()
+        except (ConservationViolation, RegularityViolation, ValueError):
+            apply(forward=False)
+            self.declared = declared
+            raise
         self.trace.batches.append(Batch(op, dict(params or {}), tuple(changes)))
         return self
 

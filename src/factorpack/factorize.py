@@ -12,11 +12,13 @@ bridge while preserving every class's regularity.  With at most three peeled
 table total.  A merge recolors only edges with an endpoint in its two
 cycles, so the certificate's other cycles stay valid for the later pairs.
 
-``half_k`` trades the residual away: it splits the even-degree residual into
-2-factors (Euler orientation plus repeated bipartite matchings), then turns
-each 2-factor into a 1-factor by matching inside it, bridging odd cycles with
-black edges, manufacturing a black bridge with a black-mode multi-switch when
-none exists.
+``half_k`` peels four 1-factors for even k and three for odd k, which leaves
+a residual of even degree k - 4 or k - 3.  It then trades that residual away:
+it splits it into 2-factors (Euler orientation plus repeated bipartite
+matchings) and turns each 2-factor into a 1-factor by matching inside it,
+bridging odd cycles with black edges, manufacturing a black bridge with a
+black-mode multi-switch when none exists.  That makes 4 + (k - 4)/2 or
+3 + (k - 3)/2 1-factors, floor(k/2) + 2 either way.
 """
 
 from __future__ import annotations
@@ -251,7 +253,6 @@ def _complete_one_factor(real: ColoredRealization, work: Color, m: Matching, odd
     idx = real.one_factor_count()
     real.apply_swap_batch(
         [(e, one_factor(idx)) for e in m.sorted_edges()],
-        expect_conservation=False,
         op=op,
         params={**params, "index": idx},
         declared_updates={**declared_updates, one_factor(idx): 1},
@@ -316,7 +317,6 @@ def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization
     cycles = cycles_of_two_regular(real.n, set(f_edges))
     real.apply_swap_batch(
         [(e, BLACK) for e in f_edges],
-        expect_conservation=False,
         op="temp_black",
         params={"factor": str(f)},
         declared_updates={f: None},
@@ -328,18 +328,19 @@ def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization
             m_edges |= {edge(cyc[i], cyc[i + 1]) for i in range(0, len(cyc), 2)}
         else:
             odd_cycles.append(cyc)
-    _complete_one_factor(real, BLACK, Matching.from_edges(m_edges), odd_cycles,
-                         op="convert_two_factor", params={"factor": str(f)}, declared_updates={})
-    higher = sorted((c for c in real.declared if c.kind == "two" and c.index > f.index),
-                    key=Color.sort_key)
-    for c in higher:
-        real.apply_swap_batch(
-            [(e, two_factor(c.index - 1)) for e in real.edges_of(c)],
-            expect_conservation=False,
-            op="renumber_two_factor",
-            params={"from": str(c)},
-            declared_updates={c: None, two_factor(c.index - 1): 2},
-        )
+    return _complete_one_factor(real, BLACK, Matching.from_edges(m_edges), odd_cycles,
+                                op="convert_two_factor", params={"factor": str(f)},
+                                declared_updates={})
+
+
+def _peeled(pi, k: int, seed: int, ones: int) -> ColoredRealization:
+    """Kundu's realization of (pi, k) with ``ones`` 1-factors peeled off its residual."""
+    ds = degree_sequence_checked(pi, k)
+    if ds.n % 2 != 0:
+        raise OddVertexCount(f"n={ds.n} must be even")
+    real = kundu_realize(ds, k, seed)
+    for _ in range(ones):
+        peel_one_factor(real)
     return real
 
 
@@ -347,13 +348,7 @@ def four_ones_realization(pi, k: int, seed: int = 0) -> ColoredRealization:
     """Realization with min(k, 4) peeled 1-factors and a max(k-4, 0)-regular residual."""
     if k < 1:
         raise PreconditionViolated(f"k must be >= 1, got {k}")
-    ds = degree_sequence_checked(pi, k)
-    if ds.n % 2 != 0:
-        raise OddVertexCount(f"n={ds.n} must be even")
-    real = kundu_realize(ds, k, seed)
-    for _ in range(min(k, 4)):
-        peel_one_factor(real)
-    return real
+    return _peeled(pi, k, seed, min(k, 4))
 
 
 def four_ones(pi, k: int, seed: int = 0) -> FactorCertificate:
@@ -368,22 +363,16 @@ def half_k(pi, k: int, seed: int = 0) -> FactorCertificate:
 
 
 def half_k_realization(pi, k: int, seed: int = 0) -> ColoredRealization:
-    """The realization behind ``half_k``, with its full recoloring trace."""
+    """The realization behind ``half_k``, with its full recoloring trace.
+
+    Peels 4 - k % 2 1-factors, so the residual has even degree, splits the
+    residual into 2-factors and converts each one, highest index first, into
+    a 1-factor.
+    """
     if k < 4:
         raise KTooSmall(f"k must be >= 4 (got {k}); below that the target exceeds k itself")
-    real = four_ones_realization(pi, k, seed)
-    if k % 2 == 1:
-        last = one_factor(3)
-        real.apply_swap_batch(
-            [(e, RESIDUAL) for e in real.edges_of(last)],
-            expect_conservation=False,
-            op="fold_back",
-            params={"factor": str(last)},
-            declared_updates={last: None, RESIDUAL: real.declared[RESIDUAL] + 1},
-        )
+    real = _peeled(pi, k, seed, 4 - k % 2)
     residual_degree = real.declared[RESIDUAL]
-    if residual_degree % 2 != 0:
-        raise InternalInvariantError(f"residual degree {residual_degree} should be even here")
     if residual_degree > 0:
         parts = petersen_two_factorize(real.class_graph(RESIDUAL), residual_degree // 2)
         declared_updates: dict[Color, int | None] = {RESIDUAL: 0}
@@ -391,7 +380,7 @@ def half_k_realization(pi, k: int, seed: int = 0) -> ColoredRealization:
         for j, part in enumerate(parts):
             declared_updates[two_factor(j)] = 2
             batch.extend((e, two_factor(j)) for e in part)
-        real.apply_swap_batch(batch, expect_conservation=False, op="petersen_split",
+        real.apply_swap_batch(batch, op="petersen_split",
                               params={"parts": len(parts)}, declared_updates=declared_updates)
         for j in reversed(range(len(parts))):
             convert_two_factor(real, two_factor(j))

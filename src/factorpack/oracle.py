@@ -211,19 +211,29 @@ def verify_certificate(pi, k: int, cert: FactorCertificate) -> VerifyReport:
     """Check a certificate against the packing statements, reporting every violation."""
     ds = pi if isinstance(pi, DegreeSequence) else DegreeSequence.of(pi)
     violations: list[tuple[str, object]] = []
-    n = cert.n
+    ones, twos = len(cert.one_factors), len(cert.two_factors)
+    residual_degree = cert.residual[0] if cert.residual is not None else 0
+    counts = {
+        "one_factors": ones,
+        "two_factors": twos,
+        "residual_degree": residual_degree,
+        "residual_edges": len(cert.residual[1]) if cert.residual else 0,
+        "black_edges": len(cert.black_edges),
+    }
 
-    if n != ds.n or tuple(cert.pi) != ds.degrees or cert.k != k:
+    if cert.n != ds.n or tuple(cert.pi) != ds.degrees or cert.k != k:
         violations.append(("MetadataMismatch", {"n": cert.n, "pi": list(cert.pi), "k": cert.k}))
+        if cert.n != ds.n:
+            # Nothing else is checkable against a vertex count pi does not have.
+            return VerifyReport(passed=False, violations=violations, counts=counts)
+    n = ds.n
 
     classes: list[tuple[str, tuple[tuple[int, int], ...]]] = []
     for i, m in enumerate(cert.one_factors):
         classes.append((f"one:{i}", tuple(m)))
     for i, f in enumerate(cert.two_factors):
         classes.append((f"two:{i}", tuple(f)))
-    residual_degree = 0
     if cert.residual is not None:
-        residual_degree = cert.residual[0]
         classes.append(("residual", tuple(cert.residual[1])))
     classes.append(("black", tuple(cert.black_edges)))
 
@@ -277,7 +287,6 @@ def verify_certificate(pi, k: int, cert: FactorCertificate) -> VerifyReport:
         if bad_vertices:
             violations.append(("ResidualNotRegular", (residual_degree, bad_vertices)))
 
-    ones, twos = len(cert.one_factors), len(cert.two_factors)
     if cert.mode == "kundu":
         if ones or twos or residual_degree != k:
             violations.append(("CountMismatch", ("kundu", ones, twos, residual_degree)))
@@ -289,12 +298,4 @@ def verify_certificate(pi, k: int, cert: FactorCertificate) -> VerifyReport:
             violations.append(("CountMismatch", ("half-k", ones, twos)))
     else:
         violations.append(("UnknownMode", cert.mode))
-
-    counts = {
-        "one_factors": ones,
-        "two_factors": twos,
-        "residual_degree": residual_degree,
-        "residual_edges": len(cert.residual[1]) if cert.residual else 0,
-        "black_edges": len(cert.black_edges),
-    }
     return VerifyReport(passed=not violations, violations=violations, counts=counts)

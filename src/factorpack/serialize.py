@@ -44,6 +44,12 @@ def _int_in(x) -> int:
     return x
 
 
+def _str_in(x) -> str:
+    if not isinstance(x, str):
+        raise TypeError(f"{x!r} is not a string")
+    return x
+
+
 def _edges_in(rows) -> tuple[tuple[int, int], ...]:
     return tuple((_int_in(u), _int_in(v)) for (u, v) in rows)
 
@@ -53,7 +59,7 @@ _CERT_FIELDS = {
     "n": _int_in,
     "pi": lambda ds: tuple(map(_int_in, ds)),
     "k": _int_in,
-    "mode": str,
+    "mode": _str_in,
     "one_factors": lambda fs: tuple(map(_edges_in, fs)),
     "two_factors": lambda fs: tuple(map(_edges_in, fs)),
     "residual": lambda r: None if r is None else (_int_in(r["degree"]), _edges_in(r["edges"])),

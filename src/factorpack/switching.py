@@ -154,7 +154,6 @@ def multi_switch(real: ColoredRealization, u: int, v: int, w: int, mode: Color,
     )
     real.apply_swap_batch(
         batch,
-        expect_conservation=True,
         op="multi_switch",
         params={
             "u": u, "v": v, "w": w, "mode": str(mode), "r": r,
@@ -185,7 +184,6 @@ def parallel_two_switch(real: ColoredRealization, e, f, g, h) -> ColoredRealizat
             raise PreconditionViolated(f"edges {a} and {b} must share exactly one vertex")
     real.apply_swap_batch(
         [(e, beta), (f, beta), (g, alpha), (h, alpha)],
-        expect_conservation=True,
         op="parallel_two_switch",
         params={"pair": [list(e), list(f)], "other": [list(g), list(h)]},
     )

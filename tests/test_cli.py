@@ -48,6 +48,12 @@ def test_exit_code_k_too_small_is_usage():
     assert code == 5
 
 
+# A valid kundu certificate for pi = (1, 1), k = 0, which the rows below corrupt.
+TWO_VERTEX_CERT = ('{"n": 2, "pi": [1, 1], "k": 0, "mode": "kundu", "one_factors": [], '
+                   '"two_factors": [], "residual": {"degree": 0, "edges": []}, '
+                   '"black_edges": [[0, 1]]}')
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["graphic", "--pi", "5,1,1,1"], 1),  # degree 5 out of range for n=4: not graphic
     (["four-ones", "--pi", "3,1,1", "--k", "1"], 1),
@@ -65,6 +71,9 @@ def test_exit_code_k_too_small_is_usage():
     (["verify", "--cert", "-", "<stdin>", "{}"], 5),  # malformed certificates are usage errors
     (["verify", "--cert", "-", "<stdin>", "[1, 2]"], 5),
     (["verify", "--cert", "-", "<stdin>", '{"n": 4.5}'], 5),
+    (["verify", "--cert", "-", "<stdin>", TWO_VERTEX_CERT.replace('"n": 2', '"n": 6')], 4),
+    (["verify", "--cert", "-", "<stdin>", TWO_VERTEX_CERT.replace('"kundu"', "null")], 5),
+    (["verify", "--cert", "-", "<stdin>", TWO_VERTEX_CERT.replace('"kundu"', "3")], 5),
 ])
 def test_exit_codes_at_the_input_boundary(argv, expected, monkeypatch):
     if "<stdin>" in argv:
@@ -73,6 +82,15 @@ def test_exit_codes_at_the_input_boundary(argv, expected, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code, _ = run_cli(argv)
     assert code == expected
+
+
+def test_verify_reports_a_vertex_count_mismatch_alone(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_VERTEX_CERT))
+    assert run_cli(["verify", "--cert", "-"])[0] == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_VERTEX_CERT.replace('"n": 2', '"n": 6')))
+    code, text = run_cli(["verify", "--cert", "-"])
+    assert code == 4
+    assert [kind for kind, _ in json.loads(text)["violations"]] == ["MetadataMismatch"]
 
 
 def test_graphic_reports_out_of_range_degree_as_not_graphic():

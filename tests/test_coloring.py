@@ -1,6 +1,6 @@
 import pytest
 
-from factorpack import make_colored_realization, replay_trace
+from factorpack import kundu_realize, make_colored_realization, replay_trace
 from factorpack.coloring import BLACK, RESIDUAL, WHITE, Color, one_factor
 from factorpack.errors import (
     ConservationViolation,
@@ -79,6 +79,18 @@ def test_swap_batch_rolls_back_on_conservation_failure():
         real.apply_swap_batch([((0, 1), WHITE)])
     assert real.coloring_map() == before
     assert real.trace.batches == []
+
+
+def test_swap_batch_rolls_back_a_failed_class_transition():
+    real = kundu_realize([3] * 6, 3)
+    before, declared, traced = real.coloring_map(), dict(real.declared), len(real.trace.batches)
+    e = real.edges_of(RESIDUAL)[0]
+    with pytest.raises(RegularityViolation):
+        real.apply_swap_batch([(e, one_factor(0))], declared_updates={one_factor(0): 1})
+    assert real.coloring_map() == before
+    assert real.declared == declared
+    assert len(real.trace.batches) == traced
+    real.validate()
 
 
 def test_swap_batch_rejects_noop_and_duplicates():

@@ -9,6 +9,7 @@ from factorpack import (
     four_ones,
     four_ones_realization,
     half_k,
+    half_k_realization,
     kundu_realize,
     merge_odd_cycle_pair,
     monotone_triple,
@@ -206,13 +207,18 @@ def test_peel_certifies_once_and_merges_pairs(monkeypatch):
     assert [p["certificates"] for p in per_peel] == [1, 1]
     assert max(p["merges"] for p in per_peel) >= 2
     assert verify_certificate(pi, 2, certificate_from_realization(real, "four-ones", 2)).passed
-    final = real.coloring_map()
-    initial = dict(final)
+    initial = initial_coloring(real)
+    assert initial == kundu_realize(pi, 2).coloring_map()
+    assert replay_trace(real.n, initial, real.trace) == real.coloring_map()
+
+
+def initial_coloring(real):
+    """The coloring before the first batch, found by undoing the trace."""
+    initial = real.coloring_map()
     for batch in reversed(real.trace.batches):
         for (e, old, _new) in reversed(batch.changes):
             initial[e] = old
-    assert initial == kundu_realize(pi, 2).coloring_map()
-    assert replay_trace(real.n, initial, real.trace) == final
+    return initial
 
 
 # --- four_ones ---
@@ -363,7 +369,7 @@ def test_convert_reroutes_one_factor_on_cross_edge_but_keeps_it_perfect():
         assert endpoints & set(e)
 
 
-def test_convert_renumbers_higher_two_factors():
+def test_convert_leaves_other_two_factors_unchanged():
     c1 = {edge(i, (i + 1) % 6) for i in range(6)}
     c2 = {edge(i, (i + 2) % 6) for i in range(6)}
     asg = []
@@ -377,8 +383,10 @@ def test_convert_renumbers_higher_two_factors():
     real = make_colored_realization(6, asg, {two_factor(0): 2, two_factor(1): 2})
     old_high = set(real.edges_of(two_factor(1)))
     convert_two_factor(real, two_factor(0))
-    assert two_factor(1) not in real.declared
-    assert set(real.edges_of(two_factor(0))) == old_high
+    assert two_factor(0) not in real.declared
+    assert real.declared[two_factor(1)] == 2
+    assert all(real.color_degree(v, two_factor(1)) == 2 for v in range(6))
+    assert set(real.edges_of(two_factor(1))) == old_high
 
 
 # --- half_k ---
@@ -393,6 +401,20 @@ def test_half_k_examples_verified():
         assert cert.two_factors == ()
         assert cert.residual is None
         assert verify_certificate(pi, k, cert).passed
+
+
+@pytest.mark.parametrize("pi,k,peels", [([5] * 6, 5, 3), ([7] * 8, 7, 3), ([6] * 8, 6, 4)])
+def test_half_k_peels_only_the_one_factors_it_keeps(pi, k, peels):
+    real = half_k_realization(pi, k)
+    ops = [b.op for b in real.trace.batches]
+    assert ops.count("peel_one_factor") == peels
+    assert "fold_back" not in ops
+    cert = certificate_from_realization(real, "half-k", k)
+    assert len(cert.one_factors) == k // 2 + 2
+    assert verify_certificate(pi, k, cert).passed
+    initial = initial_coloring(real)
+    assert initial == kundu_realize(pi, k).coloring_map()
+    assert replay_trace(real.n, initial, real.trace) == real.coloring_map()
 
 
 def test_half_k_rejects_small_k():

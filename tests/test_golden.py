@@ -10,7 +10,11 @@ k=1), the exact gadget (``6,6,5,5,5,5,5,5`` k=4) and switch repair
 replaced; seeds 0 and 3 now give the same bytes, since ``--seed`` changes
 no output.  ``four-ones-6x18-k2`` and ``half-k-4x20-k4-trace`` pin peels
 that merge two or more pairs of odd cycles; every peel at n <= 8 merges at
-most once.
+most once.  ``half-k-7x6-6x2-k5`` and the trace of ``half-k-5x6-k5-trace``
+were re-recorded when odd-k half-k stopped peeling a fourth 1-factor only to
+fold it back into the residual.  In the first case that peel had run a
+multi-switch, which changed the certificate; the trace lost the peel and
+the fold-back batch.
 
 To re-record after a deliberate output change, from the repository root:
 ``PYTHONPATH=src python -m tests.test_golden``.
