@@ -6,6 +6,13 @@ edges outside every declared factor, and each declared class (the residual
 factor, indexed 1-factors, indexed 2-factors) must be regular of its declared
 degree at every vertex.
 
+Colors are interned: ``Color(kind, index)`` returns one shared instance per
+pair, so comparing and hashing a color is a pointer operation.  Beside the
+array, a realization keeps the edge set of every class except white, so
+reading a class costs its size rather than a scan of K_n.  White, the
+complement of the realization, is never indexed: no pipeline reads it, and
+indexing it would hold a set entry for every non-edge.
+
 Values are safe to share for reading; all mutation goes through
 ``apply_swap_batch`` which requires exclusive access (no internal locking).
 """
@@ -23,29 +30,46 @@ from .errors import (
 )
 from .graphs import SimpleGraph, all_pairs, edge
 
-# Full class-regularity revalidation after every batch when True; endpoint-only
-# conservation checks otherwise.  The switching proofs guarantee conservation,
-# so release builds may turn this off; the test suite keeps it on.
+# After a conserving batch (no declared_updates), recheck the regularity of
+# every class at the batch's endpoints when True; rely on the per-vertex
+# conservation check alone when False.  Conservation already proves that no
+# count moved, so the recheck is a second guard.  A batch that changes a
+# declared degree is always revalidated at every vertex.
 STRICT_VALIDATION = True
 
 _KIND_ORDER = {"white": 0, "black": 1, "residual": 2, "one": 3, "two": 4}
+_INTERNED: dict[tuple[str, int], "Color"] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Color:
-    """Edge class id: white | black | residual | one(i) | two(i)."""
+    """Edge class id: white | black | residual | one(i) | two(i).
+
+    Interned: one instance per (kind, index), so ``==`` and ``hash`` are
+    identity.  Copies and unpickled colors are the interned instance too.
+    """
 
     kind: str
     index: int = -1
 
-    def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown color kind {self.kind!r}")
-        if self.kind in ("one", "two"):
-            if self.index < 0:
-                raise ValueError(f"{self.kind} factor needs a non-negative index")
-        elif self.index != -1:
-            raise ValueError(f"{self.kind} carries no index")
+    def __new__(cls, kind: str, index: int = -1) -> "Color":
+        self = _INTERNED.get((kind, index))
+        if self is None:
+            if kind not in _KIND_ORDER:
+                raise ValueError(f"unknown color kind {kind!r}")
+            if kind in ("one", "two"):
+                if index < 0:
+                    raise ValueError(f"{kind} factor needs a non-negative index")
+            elif index != -1:
+                raise ValueError(f"{kind} carries no index")
+            self = super().__new__(cls)
+            object.__setattr__(self, "kind", kind)
+            object.__setattr__(self, "index", index)
+            _INTERNED[(kind, index)] = self
+        return self
+
+    def __reduce__(self):
+        return (Color, (self.kind, self.index))
 
     @property
     def is_factor(self) -> bool:
@@ -147,9 +171,13 @@ class ColoredRealization:
         self.declared = dict(declared)
         self.trace = trace if trace is not None else SwitchTrace()
         self._counts: list[dict[Color, int]] = [dict() for _ in range(n)]
-        for (u, v), c in zip(all_pairs(n), colors):
-            self._counts[u][c] = self._counts[u].get(c, 0) + 1
-            self._counts[v][c] = self._counts[v].get(c, 0) + 1
+        # Edge set of every class except white; apply_swap_batch keeps it current.
+        self._edges: dict[Color, set[tuple[int, int]]] = {}
+        for e, c in zip(all_pairs(n), colors):
+            for x in e:
+                self._counts[x][c] = self._counts[x].get(c, 0) + 1
+            if c is not WHITE:
+                self._edges.setdefault(c, set()).add(e)
         # Per-vertex realization degree, pinned at construction; switches must
         # never change it (white counts stay n - 1 - d_v).
         self.degrees = tuple(n - 1 - self._counts[v].get(WHITE, 0) for v in range(n))
@@ -157,8 +185,15 @@ class ColoredRealization:
 
     # --- queries ---
 
-    def color_of(self, u: int, v: int) -> Color:
+    def _checked_edge(self, u: int, v: int) -> tuple[int, int]:
+        """The canonical pair (u, v); raises unless it is an edge of K_n."""
         e = edge(u, v)
+        if e[0] < 0 or e[1] >= self.n:
+            raise PreconditionViolated(f"edge {e} out of range for n={self.n}")
+        return e
+
+    def color_of(self, u: int, v: int) -> Color:
+        e = self._checked_edge(u, v)
         return self._colors[_pair_index(self.n, e[0], e[1])]
 
     def color_degree(self, v: int, c: Color) -> int:
@@ -166,15 +201,25 @@ class ColoredRealization:
         return self._counts[v].get(c, 0)
 
     def edges_of(self, c: Color) -> list[tuple[int, int]]:
-        """Edges of color c, ascending (``all_pairs`` walks the color array in order)."""
-        return [e for e, color in zip(all_pairs(self.n), self._colors) if color == c]
+        """Edges of color c, ascending.
+
+        Every class but white is sorted out of its index, at the cost of the
+        class's size; white scans the color array.
+        """
+        if c is WHITE:
+            return [e for e, color in zip(all_pairs(self.n), self._colors) if color is WHITE]
+        return sorted(self._edges.get(c, ()))
 
     def class_graph(self, c: Color) -> SimpleGraph:
-        return SimpleGraph(self.n, set(self.edges_of(c)))
+        edges = set(self.edges_of(WHITE)) if c is WHITE else set(self._edges.get(c, ()))
+        return SimpleGraph(self.n, edges)
 
     def colored_neighbors(self, v: int, c: Color) -> list[int]:
-        """Far endpoints of the c-colored edges at v, ascending."""
-        out = [w for w in range(self.n) if w != v and self.color_of(v, w) == c]
+        """Far endpoints of the c-colored edges at v, ascending (a scan of v's row)."""
+        n, colors = self.n, self._colors
+        out = [w for w in range(v) if colors[_pair_index(n, w, v)] is c]
+        first = _pair_index(n, v, v + 1)  # pairs (v, v + 1) .. (v, n - 1) are contiguous
+        out.extend(w for w, color in enumerate(colors[first:first + n - v - 1], v + 1) if color is c)
         return out
 
     @property
@@ -189,17 +234,23 @@ class ColoredRealization:
 
     # --- validation ---
 
-    def validate(self) -> None:
-        """Check declared regularity and that white degrees still match pi."""
+    def validate(self, vertices=None) -> None:
+        """Check declared regularity and that white degrees still match pi.
+
+        ``vertices`` limits the check to those vertices.  After a batch that
+        conserved every count, checking its endpoints raises exactly what the
+        full check would: no other vertex's counts moved.
+        """
+        checked = range(self.n) if vertices is None else sorted(vertices)
         for c in sorted(self.declared, key=Color.sort_key):
             if not c.is_factor:
                 raise ValueError(f"{c} cannot be a declared class")
             m = self.declared[c]
-            for v in range(self.n):
+            for v in checked:
                 actual = self._counts[v].get(c, 0)
                 if actual != m:
                     raise RegularityViolation(v, c, m, actual)
-        for v in range(self.n):
+        for v in checked:
             non_white = self.n - 1 - self._counts[v].get(WHITE, 0)
             if non_white != self.degrees[v]:
                 raise RegularityViolation(v, WHITE, self.n - 1 - self.degrees[v],
@@ -214,30 +265,36 @@ class ColoredRealization:
         Without ``declared_updates`` every per-vertex per-color degree must be
         unchanged.  Deliberate class transitions pass ``declared_updates``
         (color -> new degree, or None to undeclare), and the declared classes
-        are then revalidated.  If any check fails, the colors and the declared
-        degrees are restored and the batch is not traced.
+        are then revalidated.  If any check fails, the colors, the class index
+        and the declared degrees are restored and the batch is not traced.  An
+        edge outside K_n is rejected before anything changes.
         """
+        n, colors, counts, index = self.n, self._colors, self._counts, self._edges
         seen: set[tuple[int, int]] = set()
         changes: list[tuple[tuple[int, int], Color, Color]] = []
         for (e, new_color) in batch:
-            e = edge(*e)
+            e = self._checked_edge(*e)
             if e in seen:
                 raise PreconditionViolated(f"edge {e} appears twice in batch")
             seen.add(e)
-            old = self._colors[_pair_index(self.n, *e)]
-            if old == new_color:
+            old = colors[_pair_index(n, *e)]
+            if old is new_color:
                 raise PreconditionViolated(f"edge {e} already has color {new_color}")
             changes.append((e, old, new_color))
 
         def apply(forward: bool):
             for (e, old, new) in changes:
                 src, dst = (old, new) if forward else (new, old)
-                self._colors[_pair_index(self.n, *e)] = dst
+                colors[_pair_index(n, *e)] = dst
+                if src is not WHITE:
+                    index[src].remove(e)
+                if dst is not WHITE:
+                    index.setdefault(dst, set()).add(e)
                 for x in e:
-                    self._counts[x][src] -= 1
-                    if self._counts[x][src] == 0:
-                        del self._counts[x][src]
-                    self._counts[x][dst] = self._counts[x].get(dst, 0) + 1
+                    counts[x][src] -= 1
+                    if counts[x][src] == 0:
+                        del counts[x][src]
+                    counts[x][dst] = counts[x].get(dst, 0) + 1
 
         apply(forward=True)
         declared = self.declared
@@ -251,11 +308,13 @@ class ColoredRealization:
                     for x in e:
                         delta[(x, old)] = delta.get((x, old), 0) - 1
                         delta[(x, new)] = delta.get((x, new), 0) + 1
-                for (x, c), d in sorted(delta.items(), key=lambda it: (it[0][0], it[0][1].sort_key())):
-                    if d != 0:
-                        raise ConservationViolation(x, c, d)
-            if STRICT_VALIDATION or declared_updates:
+                moved = [(x, c, d) for (x, c), d in delta.items() if d != 0]
+                if moved:
+                    raise ConservationViolation(*min(moved, key=lambda t: (t[0], t[1].sort_key())))
+            if declared_updates:
                 self.validate()
+            elif STRICT_VALIDATION:
+                self.validate({x for (e, _, _) in changes for x in e})
         except (ConservationViolation, RegularityViolation, ValueError):
             apply(forward=False)
             self.declared = declared
@@ -278,9 +337,9 @@ def make_colored_realization(n: int, assignments, declared_degrees: dict[Color, 
         if colors[idx] is not None:
             raise DuplicateEdge(f"edge {e} assigned twice")
         colors[idx] = c
-    for (u, v) in all_pairs(n):
-        if colors[_pair_index(n, u, v)] is None:
-            raise MissingEdge(f"edge ({u}, {v}) has no color")
+    if None in colors:
+        u, v = next(e for e, c in zip(all_pairs(n), colors) if c is None)
+        raise MissingEdge(f"edge ({u}, {v}) has no color")
     return ColoredRealization(n, colors, declared_degrees)  # type: ignore[arg-type]
 
 

@@ -24,7 +24,6 @@ black-mode multi-switch when none exists.  That makes 4 + (k - 4)/2 or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .coloring import (
     BLACK,
@@ -136,7 +135,7 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
 
     outside_before = {e for e in real.edges_of(work) if e[0] not in vs and e[1] not in vs}
 
-    cross = sorted(edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) == work)
+    cross = sorted(edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) is work)
     if cross:
         case = CrossEdgeCase(edges=(cross[0],) * 4, colors=(work,) * 4, resolution="bridge")
     elif work == RESIDUAL:
@@ -144,13 +143,14 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
     else:
         case = _switch_temp_black_pair(real, c1, c2)
 
-    sub_edges = {edge(a, b) for a, b in combinations(sorted(vs), 2) if real.color_of(a, b) == work}
+    work_edges = real.edges_of(work)
+    sub_edges = {e for e in work_edges if e[0] in vs and e[1] in vs}
     sub = maximum_matching(SimpleGraph(real.n, sub_edges))
     if sub.covered != frozenset(vs):
         raise ChainStuck(
             f"perfect matching over the merged cycles is missing {sorted(vs - set(sub.covered))}")
 
-    outside_after = {e for e in real.edges_of(work) if e[0] not in vs and e[1] not in vs}
+    outside_after = {e for e in work_edges if e[0] not in vs and e[1] not in vs}
     if outside_before != outside_after:
         raise InternalInvariantError("edges of untouched cycles changed during a merge")
 

@@ -205,6 +205,15 @@ def test_subprocess_determinism_across_hash_seeds():
     assert outs[0] == outs[1]
 
 
+def test_python_dash_m_factorpack_runs_the_cli():
+    for argv, code in ((["kundu", "--pi", "4,4,4,4,3,3", "--k", "3"], 0),
+                       (["graphic", "--pi", "3,3,1,1"], 1)):
+        proc = subprocess.run([sys.executable, "-m", "factorpack", *argv], capture_output=True,
+                              text=True, env=cli_subprocess_env("0"))
+        assert proc.returncode == code, proc.stderr
+        assert (proc.returncode, proc.stdout) == run_cli(argv)
+
+
 def test_trace_file_replays_to_final_coloring(tmp_path):
     trace_path = tmp_path / "trace.json"
     code, text = run_cli(["four-ones", "--pi", "2,2,2,2,2,2", "--k", "2",

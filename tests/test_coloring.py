@@ -1,7 +1,27 @@
+import copy
+import pickle
+import random
+from collections import Counter
+
 import pytest
 
-from factorpack import kundu_realize, make_colored_realization, replay_trace
-from factorpack.coloring import BLACK, RESIDUAL, WHITE, Color, one_factor
+from factorpack import (
+    certificate_from_realization,
+    half_k_realization,
+    kundu_realize,
+    make_colored_realization,
+    replay_trace,
+    verify_certificate,
+)
+from factorpack.coloring import (
+    BLACK,
+    RESIDUAL,
+    WHITE,
+    Color,
+    ColoredRealization,
+    one_factor,
+    two_factor,
+)
 from factorpack.errors import (
     ConservationViolation,
     DuplicateEdge,
@@ -9,7 +29,9 @@ from factorpack.errors import (
     PreconditionViolated,
     RegularityViolation,
 )
-from factorpack.graphs import all_pairs
+from factorpack.graphs import all_pairs, edge
+from tests.conftest import random_colored_realization
+from tests.test_factorize import initial_coloring
 
 
 def test_single_edge_realization():
@@ -128,3 +150,146 @@ def test_white_consistency_invariant():
     real, _ = _four_vertex_instance()
     for v in range(real.n):
         assert real.color_degree(v, WHITE) == real.n - 1 - real.degrees[v]
+
+
+def test_out_of_range_edge_is_rejected_before_any_change():
+    real = kundu_realize([3] * 6, 3)
+    before, declared, traced = real.coloring_map(), dict(real.declared), len(real.trace.batches)
+    classes = {c: real.edges_of(c) for c in (WHITE, BLACK, RESIDUAL)}
+    first = real.edges_of(RESIDUAL)[0]
+    for bad in ((0, 6), (6, 0), (-1, 2), (6, 7)):
+        with pytest.raises(PreconditionViolated):
+            real.color_of(*bad)
+        with pytest.raises(PreconditionViolated):
+            real.apply_swap_batch([(first, BLACK), (bad, BLACK)])
+        assert real.coloring_map() == before
+        assert real.declared == declared
+        assert len(real.trace.batches) == traced
+        assert {c: real.edges_of(c) for c in classes} == classes
+        real.validate()
+
+
+def test_colors_are_interned():
+    assert Color("one", 3) is one_factor(3) is Color.parse("one:3")
+    assert Color("white") is WHITE and Color.parse("residual") is RESIDUAL
+    for c in (WHITE, BLACK, one_factor(3), two_factor(0)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(c, protocol)) is c
+        assert copy.copy(c) is c
+        assert copy.deepcopy([c])[0] is c
+    for _ in range(2):  # a rejected color never enters the cache
+        with pytest.raises(ValueError):
+            Color("one")
+    for bad in (("white", 2), ("purple",)):
+        with pytest.raises(ValueError):
+            Color(*bad)
+
+
+class FullValidation(ColoredRealization):
+    """Reference realization: every check after a batch covers every vertex."""
+
+    def validate(self, vertices=None):
+        super().validate()
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # the outcome under test is the exception itself
+        return type(exc), exc.args
+    return None
+
+
+def _assert_index_matches_coloring(real, palette):
+    colors = real.coloring_map()
+    for c in palette:
+        assert real.edges_of(c) == sorted(e for e, x in colors.items() if x is c), c
+        assert real.class_graph(c).edges == {e for e, x in colors.items() if x is c}, c
+
+
+def _alternating_swap(rng, real):
+    """Swap the colors of an alternating 4-cycle a-b-d-c; None if the draws found none."""
+    for _ in range(40):
+        a, b, c, d = rng.sample(range(real.n), 4)
+        x, y = real.color_of(a, b), real.color_of(a, c)
+        if x is not y and real.color_of(c, d) is x and real.color_of(b, d) is y:
+            return [((a, b), y), ((c, d), y), ((a, c), x), ((b, d), x)]
+    return None
+
+
+def _transition(rng, real):
+    """Undeclare a factor class into black, or move it to a fresh class of its kind."""
+    c = rng.choice(sorted(real.declared, key=Color.sort_key))
+    edges = real.edges_of(c)
+    if c.kind == "residual" or rng.random() < 0.3:
+        return [(e, BLACK) for e in edges], {c: None}
+    fresh = Color(c.kind, max(x.index for x in real.declared if x.kind == c.kind) + 1)
+    return [(e, fresh) for e in edges], {c: None, fresh: real.declared[c]}
+
+
+def _corrupted(rng, real, palette):
+    """One to three random recolorings, which almost never keep every class regular."""
+    batch = {}
+    for _ in range(rng.randint(1, 3)):
+        e = edge(*rng.sample(range(real.n), 2))
+        options = [c for c in palette if c is not real.color_of(*e)]
+        batch[e] = rng.choice(options)
+    declared_updates = None
+    if rng.random() < 0.3 and real.declared:
+        c = rng.choice(sorted(real.declared, key=Color.sort_key))
+        declared_updates = {c: real.declared[c]}
+    return list(batch.items()), declared_updates
+
+
+def test_index_and_endpoint_validation_match_full_scans():
+    rng = random.Random(8128)
+    seen = Counter()
+    for _trial in range(60):
+        n = rng.randint(4, 9)
+        real = random_colored_realization(rng, n)
+        twin = FullValidation(n, [real.color_of(*e) for e in all_pairs(n)], real.declared)
+        for _step in range(12):
+            palette = [WHITE, BLACK, *sorted(real.declared, key=Color.sort_key)]
+            draw = rng.random()
+            if draw < 0.4:
+                batch, updates, kind = _alternating_swap(rng, real), None, "conserving"
+                if batch is None:
+                    continue
+            elif draw < 0.55 and real.declared:
+                (batch, updates), kind = _transition(rng, real), "transition"
+            else:
+                (batch, updates), kind = _corrupted(rng, real, palette), "corrupted"
+            before = real.coloring_map()
+            if kind == "corrupted":
+                # Only the batch's endpoints change counts, so the endpoint check
+                # must raise exactly what the full check raises.
+                bad = make_colored_realization(n, list({**before, **dict(batch)}.items()), {})
+                bad.declared, bad.degrees = dict(real.declared), real.degrees
+                endpoints = {x for e, _ in batch for x in e}
+                assert _outcome(lambda: bad.validate(endpoints)) == _outcome(bad.validate)
+            got = _outcome(lambda: real.apply_swap_batch(batch, declared_updates=updates))
+            assert got == _outcome(lambda: twin.apply_swap_batch(batch, declared_updates=updates))
+            assert real.coloring_map() == twin.coloring_map()
+            assert real.declared == twin.declared
+            if got is None:
+                seen[kind, "applied"] += 1
+            else:
+                assert kind == "corrupted", got
+                assert real.coloring_map() == before
+                seen[kind, "rejected"] += 1
+            real.validate()
+            _assert_index_matches_coloring(real, [*palette, *real.declared])
+    wanted = (("conserving", "applied"), ("transition", "applied"), ("corrupted", "rejected"))
+    assert all(seen[w] > 10 for w in wanted), seen
+
+
+def test_half_k_at_n64_verifies_replays_and_keeps_the_index():
+    pi, k = [16] * 64, 16
+    real = half_k_realization(pi, k)
+    cert = certificate_from_realization(real, "half-k", k)
+    assert len(cert.one_factors) == k // 2 + 2
+    assert verify_certificate(pi, k, cert).passed
+    initial = initial_coloring(real)
+    assert initial == kundu_realize(pi, k).coloring_map()
+    assert replay_trace(real.n, initial, real.trace) == real.coloring_map()
+    _assert_index_matches_coloring(real, [WHITE, BLACK, RESIDUAL, *real.declared])

@@ -212,6 +212,31 @@ def test_peel_certifies_once_and_merges_pairs(monkeypatch):
     assert replay_trace(real.n, initial, real.trace) == real.coloring_map()
 
 
+def test_residual_merges_never_take_the_direct_bridge(monkeypatch):
+    """No residual edge joins two certificate cycles, and no merge creates one.
+
+    See "Why a residual merge never bridges" in docs/merge-cases.md.  Black
+    merges do bridge (test_convert_odd_cycles_with_black_bridge).
+    """
+    import factorpack.factorize as factorize
+    from tests.test_acceptance import SWEEP_SIZES, sweep_instances
+
+    merge = factorize.merge_odd_cycle_pair
+    resolutions = []
+
+    def recording(real, matching, c1, c2, work):
+        result = merge(real, matching, c1, c2, work)
+        if work is RESIDUAL:
+            resolutions.append(result[2].resolution)
+        return result
+
+    monkeypatch.setattr(factorize, "merge_odd_cycle_pair", recording)
+    for ds, k in sweep_instances(SWEEP_SIZES):
+        four_ones(ds, k)
+    assert len(resolutions) > 100
+    assert resolutions.count("bridge") == 0
+
+
 def initial_coloring(real):
     """The coloring before the first batch, found by undoing the trace."""
     initial = real.coloring_map()
