@@ -17,13 +17,16 @@ multi-switch, which changed the certificate; the trace lost the peel and
 the fold-back batch.
 
 To re-record after a deliberate output change, from the repository root:
-``PYTHONPATH=src python -m tests.test_golden``.
+``PYTHONPATH=src python -m tests.test_golden NAME ...`` rewrites only the
+named cases (an unknown name exits non-zero and writes nothing); with no
+name it rewrites every case.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,8 @@ CASES = [
     ("half-k-7x8-k7", ["half-k", "--pi", "7,7,7,7,7,7,7,7", "--k", "7", "--seed", "2"], 0),
     ("half-k-7x6-6x2-k5", ["half-k", "--pi", "7,7,7,7,7,7,6,6", "--k", "5"], 0),
     ("half-k-gadget", ["half-k", "--pi", "6,6,5,5,5,5,5,5", "--k", "4"], 0),
+    # a degree-6 residual, split into three 2-factors
+    ("half-k-10x12-k10", ["half-k", "--pi", ",".join(["10"] * 12), "--k", "10"], 0),
     ("half-k-4x6-k4-text", ["half-k", "--pi", "4,4,4,4,4,4", "--k", "4", "--format", "text"], 0),
     ("half-k-k-too-small", ["half-k", "--pi", "2,2,2,2", "--k", "2"], 5),
     # graphic
@@ -163,13 +168,27 @@ def test_golden_output(name, argv, expected_code, tmp_path):
         assert side[placeholder] == (GOLDEN / filename).read_bytes().decode("utf-8")
 
 
-def record() -> None:
-    """Rewrite every golden file from the current CLI."""
+def test_record_rewrites_only_the_named_cases(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    with pytest.raises(SystemExit):
+        record(["graphic-yes", "no-such-case"])
+    assert list(tmp_path.iterdir()) == []
+    record(["graphic-yes"])
+    assert [p.name for p in tmp_path.iterdir()] == ["graphic-yes.out"]
+    assert (tmp_path / "graphic-yes.out").read_bytes() == (Path(__file__).parent / "golden" / "graphic-yes.out").read_bytes()
+
+
+def record(names=()) -> None:
+    """Rewrite the golden files of the named cases, or of every case, from the current CLI."""
     import tempfile
 
+    unknown = sorted(set(names) - {c[0] for c in CASES})
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    chosen = [c for c in CASES if not names or c[0] in names]
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, expected_code in CASES:
+        for name, argv, expected_code in chosen:
             code, stdout, side = _run_case(argv, Path(tmp))
             if code != expected_code:
                 raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
@@ -177,8 +196,8 @@ def record() -> None:
             if name in SIDE_FILES:
                 placeholder, filename = SIDE_FILES[name]
                 (GOLDEN / filename).write_bytes(side[placeholder].encode("utf-8"))
-    print(f"recorded {len(CASES)} cases under {os.path.relpath(GOLDEN)}")
+    print(f"recorded {len(chosen)} cases under {os.path.relpath(GOLDEN)}")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])
