@@ -162,8 +162,8 @@ class ColoredRealization:
 
     def __init__(self, n: int, colors: list[Color], declared: dict[Color, int],
                  trace: SwitchTrace | None = None):
-        if n < 2:
-            raise ValueError("need at least two vertices")
+        if n < 1:
+            raise ValueError("need at least one vertex")
         if len(colors) != n * (n - 1) // 2:
             raise ValueError("color array does not cover K_n")
         self.n = n
@@ -325,8 +325,8 @@ class ColoredRealization:
 
 def make_colored_realization(n: int, assignments, declared_degrees: dict[Color, int]) -> ColoredRealization:
     """Build a realization from explicit (edge, color) assignments covering K_n."""
-    if n < 2:
-        raise ValueError("need at least two vertices")
+    if n < 1:
+        raise ValueError("need at least one vertex")
     total = n * (n - 1) // 2
     colors: list[Color | None] = [None] * total
     for (e, c) in assignments:

@@ -14,10 +14,10 @@ cycles, so the certificate's other cycles stay valid for the later pairs.
 
 ``half_k`` peels four 1-factors for even k and three for odd k, which leaves
 a residual of even degree k - 4 or k - 3.  It then trades that residual away:
-it splits it into 2-factors (Euler orientation plus repeated bipartite
-matchings) and turns each 2-factor into a 1-factor by matching inside it,
-bridging odd cycles with black edges, manufacturing a black bridge with a
-black-mode multi-switch when none exists.  That makes 4 + (k - 4)/2 or
+it splits it into 2-factors (Euler orientation plus maximum matching) and
+turns each 2-factor into a 1-factor by matching inside it, bridging odd
+cycles with black edges, manufacturing a black bridge with a black-mode
+multi-switch when none exists.  That makes 4 + (k - 4)/2 or
 3 + (k - 3)/2 1-factors, floor(k/2) + 2 either way.
 """
 
@@ -261,50 +261,29 @@ def _complete_one_factor(real: ColoredRealization, work: Color, m: Matching, odd
 
 
 def petersen_two_factorize(g: SimpleGraph, r: int) -> list[list[tuple[int, int]]]:
-    """Split a 2r-regular graph into r edge-disjoint spanning 2-regular subgraphs."""
+    """Split a 2r-regular graph into r edge-disjoint spanning 2-regular subgraphs.
+
+    Petersen's proof: an Euler circuit of each component gives every vertex r
+    arcs out and r arcs in, so the arcs a -> b, as edges (a, n + b), form an
+    r-regular bipartite graph.  Each of its perfect matchings is a 2-factor;
+    remove one and the rest is (r - 1)-regular, so r matchings split g.
+    """
     degrees = g.degrees()
     if any(d != 2 * r for d in degrees) or r < 0:
         raise NotEvenRegular(f"degrees {sorted(set(degrees))} are not constant 2r with r={r}")
-    if r == 0:
-        return []
-    factors: list[set[tuple[int, int]]] = [set() for _ in range(r)]
+    n = g.n
+    arcs: set[tuple[int, int]] = set()
     for comp in connected_components(g):
-        comp_set = set(comp)
-        sub = SimpleGraph(g.n, {e for e in g.edges if e[0] in comp_set})
-        circuit = euler_circuit(sub, comp[0])
-        arcs = [(circuit[i], circuit[i + 1]) for i in range(len(circuit) - 1)]
-        remaining: dict[int, list[int]] = {x: [] for x in comp}
-        for (a, b) in arcs:
-            remaining[a].append(b)
-        for row in remaining.values():
-            row.sort()
-        for j in range(r):
-            pm = _bipartite_perfect_matching(comp, remaining)
-            for a, b in sorted(pm.items()):
-                factors[j].add(edge(a, b))
-                remaining[a].remove(b)
-    return [sorted(f) for f in factors]
-
-
-def _bipartite_perfect_matching(vertices: list[int], adj: dict[int, list[int]]) -> dict[int, int]:
-    """Perfect matching from out-sides to in-sides of an orientation (Kuhn's algorithm)."""
-    match_right: dict[int, int] = {}
-
-    def try_augment(a: int, seen: set[int]) -> bool:
-        for b in adj[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_right or try_augment(match_right[b], seen):
-                match_right[b] = a
-                return True
-        return False
-
-    for a in sorted(vertices):
-        if not try_augment(a, set()):
-            raise InternalInvariantError(
-                f"regular orientation lost its perfect matching at vertex {a}")
-    return {a: b for b, a in match_right.items()}
+        circuit = euler_circuit(g, comp[0])
+        arcs.update((a, n + b) for a, b in zip(circuit, circuit[1:]))
+    factors = []
+    for _ in range(r):
+        pm = maximum_matching(SimpleGraph(2 * n, arcs))
+        if not pm.is_perfect(2 * n):
+            raise InternalInvariantError("regular orientation lost its perfect matching")
+        arcs -= pm.edges
+        factors.append(sorted(edge(a, b - n) for a, b in pm.edges))
+    return factors
 
 
 def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization:

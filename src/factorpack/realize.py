@@ -23,7 +23,6 @@ from .coloring import (
     WHITE,
     ColoredRealization,
     DegreeSequence,
-    make_colored_realization,
 )
 from .errors import InternalInvariantError, NotGraphic, NotGraphicMinusK, PreconditionViolated
 from .graphs import SimpleGraph, all_pairs, edge
@@ -271,12 +270,5 @@ def kundu_realize(pi, k: int, seed: int = 0) -> ColoredRealization:
         g, fill = _switch_repair(havel_hakimi_realize(ds), k)
         edges = g.edges
 
-    assignments = []
-    for p in all_pairs(ds.n):
-        if p in fill:
-            assignments.append((p, RESIDUAL))
-        elif p in edges:
-            assignments.append((p, BLACK))
-        else:
-            assignments.append((p, WHITE))
-    return make_colored_realization(ds.n, assignments, {RESIDUAL: k})
+    colors = [RESIDUAL if p in fill else BLACK if p in edges else WHITE for p in all_pairs(ds.n)]
+    return ColoredRealization(ds.n, colors, {RESIDUAL: k})

@@ -66,6 +66,8 @@ TWO_VERTEX_CERT = ('{"n": 2, "pi": [1, 1], "k": 0, "mode": "kundu", "one_factors
     (["graphic", "--pi=-1,1"], 1),
     (["kundu", "--pi", "-1,1", "--k", "0"], 1),
     (["kundu", "--pi", "-1,3,2,2", "--k", "1", "--seed", "2"], 1),
+    (["kundu", "--pi", "0", "--k", "0"], 0),  # K_1: an empty coloring
+    (["kundu", "--pi", "", "--k", "0"], 5),
     (["sweep", "--n", "4", "--workers", "0"], 5),
     (["sweep", "--n", "4", "--workers", "-2"], 5),
     (["verify", "--cert", "-", "<stdin>", "{}"], 5),  # malformed certificates are usage errors
@@ -160,6 +162,15 @@ def test_petersen_subcommand():
     assert data["r"] == 2 and len(data["two_factors"]) == 2
     code, _ = run_cli(["petersen", "--pi", "3,3,3,3"])
     assert code == 5
+
+
+def test_petersen_on_1500_vertices_from_a_file(tmp_path):
+    p = tmp_path / "pi.txt"
+    p.write_text(",".join(["8"] * 1500))
+    code, text = run_cli(["petersen", "--pi", f"@{p}"])
+    assert code == 0
+    data = json.loads(text)
+    assert data["r"] == 4 and len(data["two_factors"]) == 4
 
 
 def test_sweep_report_columns(tmp_path):

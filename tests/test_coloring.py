@@ -40,6 +40,17 @@ def test_single_edge_realization():
     assert real.pi.degrees == (1, 1)
 
 
+def test_one_vertex_has_an_empty_coloring():
+    for real in (ColoredRealization(1, [], {RESIDUAL: 0}), make_colored_realization(1, [], {}),
+                 kundu_realize([0], 0)):
+        assert real.degrees == (0,)
+        assert real.coloring_map() == {} and real.edges_of(BLACK) == []
+    cert = certificate_from_realization(kundu_realize([0], 0), "kundu", 0)
+    assert verify_certificate([0], 0, cert).passed
+    with pytest.raises(ValueError):
+        make_colored_realization(0, [], {})
+
+
 def test_triangle_as_residual():
     real = make_colored_realization(3, [((0, 1), RESIDUAL), ((0, 2), RESIDUAL), ((1, 2), RESIDUAL)],
                                     {RESIDUAL: 2})

@@ -27,7 +27,7 @@ from factorpack.errors import (
     OddVertexCount,
     TooManyOneFactors,
 )
-from factorpack.graphs import all_pairs, cycles_of_two_regular, edge
+from factorpack.graphs import all_pairs, connected_components, cycles_of_two_regular, edge
 from tests.conftest import recount_colors
 
 
@@ -307,6 +307,27 @@ def test_petersen_k5():
 def test_petersen_circulant_c8():
     edges = {edge(i, (i + 1) % 8) for i in range(8)} | {edge(i, (i + 2) % 8) for i in range(8)}
     g = SimpleGraph(8, edges)
+    _check_two_factorization(g, petersen_two_factorize(g, 2), 2)
+
+
+def test_petersen_splits_a_long_euler_circuit():
+    # C_1500(1, 2, 3, 4): one component, a 6,000-arc circuit, a 3,000-vertex bipartite graph.
+    n = 1500
+    g = SimpleGraph(n, {edge(i, (i + off) % n) for i in range(n) for off in (1, 2, 3, 4)})
+    _check_two_factorization(g, petersen_two_factorize(g, 4), 4)
+
+
+def test_petersen_splits_every_component():
+    # K_5, C_8(1, 2) and C_9(1, 3), 4-regular each, on interleaved vertex ids.
+    blocks = [(5, list(all_pairs(5))),
+              (8, [(i, (i + o) % 8) for i in range(8) for o in (1, 2)]),
+              (9, [(i, (i + o) % 9) for i in range(9) for o in (1, 3)])]
+    n, edges, base = 22, set(), 0
+    for size, block in blocks:
+        edges |= {edge((base + u) * 7 % n, (base + v) * 7 % n) for u, v in block}
+        base += size
+    g = SimpleGraph(n, edges)
+    assert len(connected_components(g)) == 3
     _check_two_factorization(g, petersen_two_factorize(g, 2), 2)
 
 

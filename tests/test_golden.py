@@ -59,6 +59,7 @@ CASES = [
      ["kundu", "--pi", "7,7,7,5,5,5,5,3", "--k", "1", "--format", "text"], 0),
     ("kundu-unsorted", ["kundu", "--pi", "3,4,4,3,4,4", "--k", "3"], 0),
     ("kundu-k0", ["kundu", "--pi", "2,2,1,1", "--k", "0"], 0),
+    ("kundu-one-vertex", ["kundu", "--pi", "0", "--k", "0"], 0),
     ("kundu-odd-n-text", ["kundu", "--pi", "2,2,2,2,2", "--k", "2", "--format", "text"], 0),
     ("kundu-not-graphic", ["kundu", "--pi", "3,3,1,1", "--k", "1"], 1),
     ("kundu-minus-k-not-graphic", ["kundu", "--pi", "2,2,1,1", "--k", "2"], 2),
