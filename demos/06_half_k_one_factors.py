@@ -2,9 +2,8 @@
 """Walkthrough: trading the residual factor for floor(k/2) + 2 one-factors.
 
 After peeling four 1-factors (three when k is odd), the residual has even
-degree and splits into 2-factors (Euler orientation + repeated bipartite
-matchings).  Each 2-factor is then
-converted into a 1-factor: even cycles alternate directly, odd cycle pairs
+degree and splits into 2-factors (Euler orientation plus maximum
+matching).  Each 2-factor is then converted into a 1-factor: even cycles alternate directly, odd cycle pairs
 get bridged by a black edge, and when no black bridge exists a black-mode
 multi-switch creates one.  Leftover edges turn black; nothing regular is
 promised about them, which is the price of the extra matchings.

@@ -66,8 +66,6 @@ TWO_VERTEX_CERT = ('{"n": 2, "pi": [1, 1], "k": 0, "mode": "kundu", "one_factors
     (["graphic", "--pi=-1,1"], 1),
     (["kundu", "--pi", "-1,1", "--k", "0"], 1),
     (["kundu", "--pi", "-1,3,2,2", "--k", "1", "--seed", "2"], 1),
-    (["kundu", "--pi", "0", "--k", "0"], 0),  # K_1: an empty coloring
-    (["kundu", "--pi", "", "--k", "0"], 5),
     (["sweep", "--n", "4", "--workers", "0"], 5),
     (["sweep", "--n", "4", "--workers", "-2"], 5),
     (["verify", "--cert", "-", "<stdin>", "{}"], 5),  # malformed certificates are usage errors
@@ -76,6 +74,8 @@ TWO_VERTEX_CERT = ('{"n": 2, "pi": [1, 1], "k": 0, "mode": "kundu", "one_factors
     (["verify", "--cert", "-", "<stdin>", TWO_VERTEX_CERT.replace('"n": 2', '"n": 6')], 4),
     (["verify", "--cert", "-", "<stdin>", TWO_VERTEX_CERT.replace('"kundu"', "null")], 5),
     (["verify", "--cert", "-", "<stdin>", TWO_VERTEX_CERT.replace('"kundu"', "3")], 5),
+    (["kundu", "--pi", "0", "--k", "0"], 0),  # K_1: an empty coloring
+    (["kundu", "--pi", "", "--k", "0"], 5),
 ])
 def test_exit_codes_at_the_input_boundary(argv, expected, monkeypatch):
     if "<stdin>" in argv:

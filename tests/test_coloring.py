@@ -45,8 +45,7 @@ def test_one_vertex_has_an_empty_coloring():
                  kundu_realize([0], 0)):
         assert real.degrees == (0,)
         assert real.coloring_map() == {} and real.edges_of(BLACK) == []
-    cert = certificate_from_realization(kundu_realize([0], 0), "kundu", 0)
-    assert verify_certificate([0], 0, cert).passed
+    assert verify_certificate([0], 0, certificate_from_realization(real, "kundu", 0)).passed
     with pytest.raises(ValueError):
         make_colored_realization(0, [], {})
 

@@ -59,7 +59,7 @@ CASES = [
      ["kundu", "--pi", "7,7,7,5,5,5,5,3", "--k", "1", "--format", "text"], 0),
     ("kundu-unsorted", ["kundu", "--pi", "3,4,4,3,4,4", "--k", "3"], 0),
     ("kundu-k0", ["kundu", "--pi", "2,2,1,1", "--k", "0"], 0),
-    ("kundu-one-vertex", ["kundu", "--pi", "0", "--k", "0"], 0),
+    ("kundu-one-vertex", ["kundu", "--pi", "0", "--k", "0"], 0),  # K_1: an empty coloring
     ("kundu-odd-n-text", ["kundu", "--pi", "2,2,2,2,2", "--k", "2", "--format", "text"], 0),
     ("kundu-not-graphic", ["kundu", "--pi", "3,3,1,1", "--k", "1"], 1),
     ("kundu-minus-k-not-graphic", ["kundu", "--pi", "2,2,1,1", "--k", "2"], 2),
@@ -176,7 +176,8 @@ def test_record_rewrites_only_the_named_cases(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
     record(["graphic-yes"])
     assert [p.name for p in tmp_path.iterdir()] == ["graphic-yes.out"]
-    assert (tmp_path / "graphic-yes.out").read_bytes() == (Path(__file__).parent / "golden" / "graphic-yes.out").read_bytes()
+    recorded = (tmp_path / "graphic-yes.out").read_bytes()
+    assert recorded == (Path(__file__).parent / "golden" / "graphic-yes.out").read_bytes()
 
 
 def record(names=()) -> None:

@@ -26,8 +26,14 @@ from factorpack import (  # noqa: E402
 )
 from factorpack.coloring import WHITE  # noqa: E402
 from factorpack.graphs import all_pairs  # noqa: E402
-from factorpack.realize import erdos_gallai_graphic_raw  # noqa: E402
+from factorpack.realize import (  # noqa: E402
+    _circulant_fill,
+    _greedy_fill,
+    erdos_gallai_graphic_raw,
+    havel_hakimi_realize,
+)
 from tests.conftest import recount_colors  # noqa: E402
+from tests.test_realize import reaches_switch_repair  # noqa: E402
 
 # Found by a seeded search; the names say which fill of kundu_realize each one reaches.
 GADGET = ([8, 8, 7, 7, 7, 6, 5, 5, 5, 4], 4)
@@ -64,7 +70,7 @@ def _check(real, start, pi, k, mode):
     assert sorted(real.degrees) == sorted(pi), mode
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(graphic_requests())
 @example(GADGET)
 @example(GADGET_N14)
@@ -78,3 +84,12 @@ def test_pipeline_outputs_verify_replay_and_recount(request_pi_k):
         _check(four_ones_realization(pi, k), start.coloring_map(), pi, k, "four-ones")
     if len(pi) % 2 == 0 and k >= 4:
         _check(half_k_realization(pi, k), start.coloring_map(), pi, k, "half-k")
+
+
+def test_explicit_examples_reach_the_fills_they_are_named_for():
+    for pi, k in (GADGET, GADGET_N14):
+        r = havel_hakimi_realize([d - k for d in pi])
+        assert _greedy_fill(r, k) is None and _circulant_fill(r, k) is None
+        assert not reaches_switch_repair(pi, k)
+    for pi, k in (SWITCH_REPAIR, SWITCH_REPAIR_N16):
+        assert reaches_switch_repair(pi, k)
