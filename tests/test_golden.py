@@ -14,7 +14,10 @@ most once.  ``half-k-7x6-6x2-k5`` and the trace of ``half-k-5x6-k5-trace``
 were re-recorded when odd-k half-k stopped peeling a fourth 1-factor only to
 fold it back into the residual.  In the first case that peel had run a
 multi-switch, which changed the certificate; the trace lost the peel and
-the fold-back batch.
+the fold-back batch.  Three text cases run the fill stages at scale:
+``kundu-32x128-k16-text`` and ``four-ones-9x16-k5-text`` fill with whole
+circulant rings, and ``half-k-40-gadget-k10-text``, a G(40, 1/2) degree
+sequence, fills through the complement gadget.
 
 To re-record after a deliberate output change, from the repository root:
 ``PYTHONPATH=src python -m tests.test_golden NAME ...`` rewrites only the
@@ -60,6 +63,9 @@ CASES = [
     ("kundu-unsorted", ["kundu", "--pi", "3,4,4,3,4,4", "--k", "3"], 0),
     ("kundu-k0", ["kundu", "--pi", "2,2,1,1", "--k", "0"], 0),
     ("kundu-one-vertex", ["kundu", "--pi", "0", "--k", "0"], 0),  # K_1: an empty coloring
+    # the pack-regular circulant point: greedy misses, whole offset rings fill
+    ("kundu-32x128-k16-text",
+     ["kundu", "--pi", ",".join(["32"] * 128), "--k", "16", "--format", "text"], 0),
     ("kundu-odd-n-text", ["kundu", "--pi", "2,2,2,2,2", "--k", "2", "--format", "text"], 0),
     ("kundu-not-graphic", ["kundu", "--pi", "3,3,1,1", "--k", "1"], 1),
     ("kundu-minus-k-not-graphic", ["kundu", "--pi", "2,2,1,1", "--k", "2"], 2),
@@ -82,6 +88,9 @@ CASES = [
     ("four-ones-k0", ["four-ones", "--pi", "2,2,2,2", "--k", "0"], 5),
     # one peel that merges three pairs of odd cycles
     ("four-ones-6x18-k2", ["four-ones", "--pi", ",".join(["6"] * 18), "--k", "2"], 0),
+    # a circulant fill under four peels
+    ("four-ones-9x16-k5-text",
+     ["four-ones", "--pi", ",".join(["9"] * 16), "--k", "5", "--format", "text"], 0),
     # half-k
     ("half-k-5x6-k5", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5"], 0),
     ("half-k-5x6-k5-text", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5", "--format", "text"], 0),
@@ -93,6 +102,11 @@ CASES = [
     ("half-k-gadget", ["half-k", "--pi", "6,6,5,5,5,5,5,5", "--k", "4"], 0),
     # a degree-6 residual, split into three 2-factors
     ("half-k-10x12-k10", ["half-k", "--pi", ",".join(["10"] * 12), "--k", "10"], 0),
+    # a G(40, 1/2) degree sequence whose fill reaches the complement gadget
+    ("half-k-40-gadget-k10-text",
+     ["half-k", "--pi", "15,17,25,16,18,18,22,16,23,18,17,24,23,14,22,22,22,18,20,19,"
+                        "28,19,16,25,18,20,15,14,18,18,17,19,21,18,19,16,21,16,19,16",
+      "--k", "10", "--format", "text"], 0),
     ("half-k-4x6-k4-text", ["half-k", "--pi", "4,4,4,4,4,4", "--k", "4", "--format", "text"], 0),
     ("half-k-k-too-small", ["half-k", "--pi", "2,2,2,2", "--k", "2"], 5),
     # graphic
