@@ -11,7 +11,8 @@ pair, so comparing and hashing a color is a pointer operation.  Beside the
 array, a realization keeps the edge set of every class except white, so
 reading a class costs its size rather than a scan of K_n.  White, the
 complement of the realization, is never indexed: no pipeline reads it, and
-indexing it would hold a set entry for every non-edge.
+indexing it would hold a set entry for every non-edge.  A realization is
+built from its non-white classes, at their size; only this module knows the pair order.
 
 Values are safe to share for reading; all mutation goes through
 ``apply_swap_batch`` which requires exclusive access (no internal locking).
@@ -19,6 +20,7 @@ Values are safe to share for reading; all mutation goes through
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -106,19 +108,18 @@ def two_factor(i: int) -> Color:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Non-increasing degree list; the as-given order is kept for reporting."""
+    """Non-increasing degree list."""
 
     degrees: tuple[int, ...]
-    original: tuple[int, ...]
 
     @classmethod
     def of(cls, values) -> "DegreeSequence":
-        original = tuple(int(v) for v in values)
-        n = len(original)
-        for d in original:
+        given = [int(v) for v in values]
+        n = len(given)
+        for d in given:
             if d < 0 or d > max(n - 1, 0):
                 raise ValueError(f"degree {d} out of range for n={n}")
-        return cls(tuple(sorted(original, reverse=True)), original)
+        return cls(tuple(sorted(given, reverse=True)))
 
     @property
     def n(self) -> int:
@@ -158,29 +159,30 @@ def _pair_index(n: int, u: int, v: int) -> int:
 
 
 class ColoredRealization:
-    """A total coloring of K_n's edges with validated regular factor classes."""
+    """K_n's pairs colored by ``classes``, each non-white color's edges (disjoint, u < v), and white."""
 
-    def __init__(self, n: int, colors: list[Color], declared: dict[Color, int],
-                 trace: SwitchTrace | None = None):
+    def __init__(self, n: int, classes: dict[Color, Iterable[tuple[int, int]]],
+                 declared: dict[Color, int], trace: SwitchTrace | None = None):
         if n < 1:
             raise ValueError("need at least one vertex")
-        if len(colors) != n * (n - 1) // 2:
-            raise ValueError("color array does not cover K_n")
         self.n = n
-        self._colors = colors
+        self._colors = colors = [WHITE] * (n * (n - 1) // 2)
         self.declared = dict(declared)
         self.trace = trace if trace is not None else SwitchTrace()
         self._counts: list[dict[Color, int]] = [dict() for _ in range(n)]
         # Edge set of every class except white; apply_swap_batch keeps it current.
         self._edges: dict[Color, set[tuple[int, int]]] = {}
-        for e, c in zip(all_pairs(n), colors):
-            for x in e:
-                self._counts[x][c] = self._counts[x].get(c, 0) + 1
-            if c is not WHITE:
-                self._edges.setdefault(c, set()).add(e)
+        for c, class_edges in classes.items():
+            self._edges[c] = set(class_edges)
+            for e in self._edges[c]:
+                colors[_pair_index(n, *e)] = c
+                for x in e:
+                    self._counts[x][c] = self._counts[x].get(c, 0) + 1
         # Per-vertex realization degree, pinned at construction; switches must
         # never change it (white counts stay n - 1 - d_v).
-        self.degrees = tuple(n - 1 - self._counts[v].get(WHITE, 0) for v in range(n))
+        self.degrees = tuple(sum(row.values()) for row in self._counts)
+        for row, d in zip(self._counts, self.degrees):
+            row[WHITE] = n - 1 - d
         self.validate()
 
     # --- queries ---
@@ -324,23 +326,24 @@ class ColoredRealization:
 
 
 def make_colored_realization(n: int, assignments, declared_degrees: dict[Color, int]) -> ColoredRealization:
-    """Build a realization from explicit (edge, color) assignments covering K_n."""
+    """Build a realization from (edge, color) assignments that color each pair of K_n exactly once."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    total = n * (n - 1) // 2
-    colors: list[Color | None] = [None] * total
+    seen: set[tuple[int, int]] = set()
+    classes: dict[Color, list[tuple[int, int]]] = {}
     for (e, c) in assignments:
         e = edge(*e)
         if not (0 <= e[0] < e[1] < n):
             raise ValueError(f"edge {e} out of range for n={n}")
-        idx = _pair_index(n, *e)
-        if colors[idx] is not None:
+        if e in seen:
             raise DuplicateEdge(f"edge {e} assigned twice")
-        colors[idx] = c
-    if None in colors:
-        u, v = next(e for e, c in zip(all_pairs(n), colors) if c is None)
+        seen.add(e)
+        if c is not WHITE:
+            classes.setdefault(c, []).append(e)
+    if len(seen) < n * (n - 1) // 2:
+        u, v = next(e for e in all_pairs(n) if e not in seen)
         raise MissingEdge(f"edge ({u}, {v}) has no color")
-    return ColoredRealization(n, colors, declared_degrees)  # type: ignore[arg-type]
+    return ColoredRealization(n, classes, declared_degrees)
 
 
 @dataclass(frozen=True)

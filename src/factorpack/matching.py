@@ -110,7 +110,6 @@ def toggle_alternating_path(m: Matching, path) -> Matching:
 def maximum_matching(g: SimpleGraph, initial: Matching | None = None) -> Matching:
     """Maximum matching via alternating search with odd-cycle contraction."""
     n = g.n
-    adj = g.adjacency()
     match = [-1] * n
     if initial is not None:
         for (u, v) in initial.edges:
@@ -120,6 +119,16 @@ def maximum_matching(g: SimpleGraph, initial: Matching | None = None) -> Matchin
                 raise InvalidInitial(f"initial matching reuses a vertex on ({u}, {v})")
             match[u] = v
             match[v] = u
+    _maximize(g.adjacency(), match)
+    return Matching.from_edges((v, match[v]) for v in range(n) if match[v] > v)
+
+
+def _maximize(adj: list[list[int]], match: list[int]) -> None:
+    """Grow ``match`` (each vertex's mate, -1 if uncovered) into a maximum matching, in place.
+
+    ``adj`` rows are ascending and only read, so vertices may share one; a covered vertex stays covered.
+    """
+    n = len(adj)
     # Search state shared by every root; each search puts back what it set.
     p = [-1] * n
     base = list(range(n))
@@ -127,7 +136,6 @@ def maximum_matching(g: SimpleGraph, initial: Matching | None = None) -> Matchin
     for v in range(n):
         if match[v] == -1:
             _augment_from(v, adj, match, p, base, used)
-    return Matching.from_edges((v, match[v]) for v in range(n) if match[v] > v)
 
 
 def _augment_from(root: int, adj: list[list[int]], match: list[int],

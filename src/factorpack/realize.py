@@ -15,18 +15,12 @@ subgraph is a k-factor.  Every stage is deterministic and polynomial.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
+from itertools import accumulate, islice
 
-from .coloring import (
-    BLACK,
-    RESIDUAL,
-    WHITE,
-    ColoredRealization,
-    DegreeSequence,
-)
+from .coloring import BLACK, RESIDUAL, ColoredRealization, DegreeSequence
 from .errors import InternalInvariantError, NotGraphic, NotGraphicMinusK, PreconditionViolated
-from .graphs import SimpleGraph, all_pairs, edge
-from .matching import Matching, maximum_matching
+from .graphs import SimpleGraph, edge
+from .matching import _maximize
 
 
 def erdos_gallai_graphic(seq) -> bool:
@@ -81,26 +75,24 @@ def degree_sequence_checked(pi, k: int = 0) -> DegreeSequence:
 def _pair_off(target: list[int], forbidden: set[tuple[int, int]]) -> set[tuple[int, int]] | None:
     """Greedy pairing: vertex i gets target[i] edges, none of them in `forbidden`.
 
-    The vertex with the largest remaining need (ties by lowest id) joins the
-    vertices with the next largest needs.  Returns None when a vertex runs
-    out of partners; a processed vertex's need is 0, so no edge repeats.
+    Each step orders the vertices that still have need by need, largest
+    first and ties by lowest id; the first vertex joins the first vertices
+    after it that it may.  Returns None when a vertex runs out of partners;
+    a processed vertex's need is 0, so no edge repeats.
     """
     n = len(target)
     left = list(target)
     edges: set[tuple[int, int]] = set()
     while True:
-        v = max(range(n), key=lambda i: (left[i], -i))
-        need = left[v]
-        if need == 0:
+        order = sorted((i for i in range(n) if left[i] > 0), key=left.__getitem__, reverse=True)
+        if not order:
             return edges
-        left[v] = 0
-        partners = sorted(
-            (w for w in range(n) if left[w] > 0 and edge(v, w) not in forbidden),
-            key=lambda w: (-left[w], w),
-        )
+        v = order[0]
+        need, left[v] = left[v], 0
+        partners = list(islice((w for w in order[1:] if edge(v, w) not in forbidden), need))
         if len(partners) < need:
             return None
-        for w in partners[:need]:
+        for w in partners:
             edges.add(edge(v, w))
             left[w] -= 1
 
@@ -148,34 +140,27 @@ def switch_randomize(g: SimpleGraph, steps: int, seed: int) -> SimpleGraph:
 def max_degree_bounded_subgraph(h: SimpleGraph, k: int) -> tuple[int, set[tuple[int, int]]]:
     """Largest edge set of h with every vertex degree <= k.
 
-    Reduction to maximum matching: k copies per vertex, two stub nodes per
-    edge; an edge enters the subgraph exactly when both of its stubs get
-    matched to copies of their endpoints.
+    Reduction to maximum matching (Tutte's gadget): copies u*k .. u*k+k-1 of each
+    vertex u, then two stubs per edge, in sorted edge order, joined to each other
+    and to every copy of their own end.  Each stub pair starts matched; a matched
+    vertex stays matched, so an edge's stubs leave each other together, and the
+    edge is chosen when they do.  Rows are built ascending; a vertex's copies share one.
     """
     if k <= 0 or not h.edges:
         return 0, set()
-    n = h.n
     edges = h.sorted_edges()
-    stub_base = n * k
-    gadget_n = stub_base + 2 * len(edges)
-    gadget_edges: set[tuple[int, int]] = set()
+    stub_base = h.n * k
+    at: list[list[int]] = [[] for _ in range(h.n)]  # the stubs at each vertex
+    stub_rows: list[list[int]] = []
+    match = [-1] * stub_base
     for j, (u, v) in enumerate(edges):
-        su, sv = stub_base + 2 * j, stub_base + 2 * j + 1
-        gadget_edges.add((su, sv))
-        for i in range(k):
-            gadget_edges.add(edge(u * k + i, su))
-            gadget_edges.add(edge(v * k + i, sv))
-    gadget = SimpleGraph(gadget_n, gadget_edges)
-    seed_matching = Matching.from_edges((stub_base + 2 * j, stub_base + 2 * j + 1)
-                                        for j in range(len(edges)))
-    mm = maximum_matching(gadget, seed_matching)
-    mate = mm.mate_map()
-    chosen: set[tuple[int, int]] = set()
-    for j, (u, v) in enumerate(edges):
-        su, sv = stub_base + 2 * j, stub_base + 2 * j + 1
-        mu, mv = mate.get(su), mate.get(sv)
-        if mu is not None and mu < stub_base and mv is not None and mv < stub_base:
-            chosen.add((u, v))
+        su = stub_base + 2 * j
+        at[u].append(su)
+        at[v].append(su + 1)
+        stub_rows += ([*range(u * k, u * k + k), su + 1], [*range(v * k, v * k + k), su])
+        match += (su + 1, su)
+    _maximize([row for row in at for _ in range(k)] + stub_rows, match)
+    chosen = {e for j, e in enumerate(edges) if match[stub_base + 2 * j] < stub_base}
     return len(chosen), chosen
 
 
@@ -259,16 +244,11 @@ def kundu_realize(pi, k: int, seed: int = 0) -> ColoredRealization:
     """
     ds = degree_sequence_checked(pi, k)
     r = havel_hakimi_realize(DegreeSequence.of([d - k for d in ds.degrees]))
-    edges = r.edges
-
     fill = _greedy_fill(r, k)
     if fill is None:
         fill = _circulant_fill(r, k)
     if fill is None:
         fill = find_k_factor(r.complement(), k)
     if fill is None:
-        g, fill = _switch_repair(havel_hakimi_realize(ds), k)
-        edges = g.edges
-
-    colors = [RESIDUAL if p in fill else BLACK if p in edges else WHITE for p in all_pairs(ds.n)]
-    return ColoredRealization(ds.n, colors, {RESIDUAL: k})
+        r, fill = _switch_repair(havel_hakimi_realize(ds), k)  # a realization of pi holding the fill
+    return ColoredRealization(ds.n, {RESIDUAL: fill, BLACK: r.edges - fill}, {RESIDUAL: k})

@@ -29,7 +29,7 @@ from factorpack.errors import (
     PreconditionViolated,
     RegularityViolation,
 )
-from factorpack.graphs import all_pairs, edge
+from factorpack.graphs import edge
 from tests.conftest import random_colored_realization
 from tests.test_factorize import initial_coloring
 
@@ -41,7 +41,7 @@ def test_single_edge_realization():
 
 
 def test_one_vertex_has_an_empty_coloring():
-    for real in (ColoredRealization(1, [], {RESIDUAL: 0}), make_colored_realization(1, [], {}),
+    for real in (ColoredRealization(1, {}, {RESIDUAL: 0}), make_colored_realization(1, [], {}),
                  kundu_realize([0], 0)):
         assert real.degrees == (0,)
         assert real.coloring_map() == {} and real.edges_of(BLACK) == []
@@ -257,7 +257,8 @@ def test_index_and_endpoint_validation_match_full_scans():
     for _trial in range(60):
         n = rng.randint(4, 9)
         real = random_colored_realization(rng, n)
-        twin = FullValidation(n, [real.color_of(*e) for e in all_pairs(n)], real.declared)
+        twin = FullValidation(n, {c: real.edges_of(c) for c in (BLACK, *real.declared)}, real.declared)
+        assert twin.coloring_map() == real.coloring_map()
         for _step in range(12):
             palette = [WHITE, BLACK, *sorted(real.declared, key=Color.sort_key)]
             draw = rng.random()

@@ -13,7 +13,7 @@ from factorpack import (
 )
 from factorpack import realize
 from factorpack.errors import InvalidInitial, NotAlternating, NotRegular, OddLengthPath
-from factorpack.matching import check_odd_cycle_certificate
+from factorpack.matching import _maximize, check_odd_cycle_certificate
 from tests.conftest import random_regular_graph
 
 
@@ -184,15 +184,21 @@ def partial_matching(rng, g):
 
 
 def gadgets_of(h, k, monkeypatch):
-    """The (gadget, seed matching) pairs max_degree_bounded_subgraph hands to maximum_matching."""
+    """The (gadget, seed matching) pairs max_degree_bounded_subgraph hands to the matcher.
+
+    The gadget reaches ``_maximize`` as adjacency rows and a mate array;
+    each is rebuilt as the graph and matching the reference search takes.
+    """
     seen = []
 
-    def spy(g, initial=None):
-        seen.append((g, initial))
-        return maximum_matching(g, initial)
+    def spy(adj, match):
+        g = SimpleGraph.from_edges(len(adj), [(u, w) for u, row in enumerate(adj) for w in row])
+        assert g.adjacency() == adj, "gadget rows must be ascending and symmetric"
+        seen.append((g, Matching.from_edges((v, w) for v, w in enumerate(match) if w > v)))
+        _maximize(adj, match)
 
     with monkeypatch.context() as m:
-        m.setattr(realize, "maximum_matching", spy)
+        m.setattr(realize, "_maximize", spy)
         realize.max_degree_bounded_subgraph(h, k)
     assert len(seen) == 1
     return seen

@@ -21,6 +21,7 @@ from factorpack.graphs import all_pairs, edge
 from factorpack.realize import (
     _circulant_fill,
     _greedy_fill,
+    _pair_off,
     _switch_repair,
     erdos_gallai_graphic_raw,
     find_k_factor,
@@ -117,6 +118,66 @@ def test_havel_hakimi_vertexwise_degrees_match_sorted_input():
     for seq in [(4, 3, 3, 2, 2, 2), (5, 5, 4, 4, 3, 3, 2, 2), (2, 1, 1, 0)]:
         g = havel_hakimi_realize(seq)
         assert tuple(g.degrees()) == tuple(sorted(seq, reverse=True))
+
+
+def reference_pair_off(target, forbidden):
+    """Reference: the greedy pairing with a max scan for the vertex and a keyed sort of its partners."""
+    n = len(target)
+    left = list(target)
+    edges = set()
+    while True:
+        v = max(range(n), key=lambda i: (left[i], -i))
+        need = left[v]
+        if need == 0:
+            return edges
+        left[v] = 0
+        partners = sorted(
+            (w for w in range(n) if left[w] > 0 and edge(v, w) not in forbidden),
+            key=lambda w: (-left[w], w),
+        )
+        if len(partners) < need:
+            return None
+        for w in partners[:need]:
+            edges.add(edge(v, w))
+            left[w] -= 1
+
+
+def _random_forbidden(rng, n):
+    density = rng.random() ** 2
+    return {e for e in all_pairs(n) if rng.random() < density}
+
+
+def test_pair_off_matches_reference_on_every_small_target():
+    """Every target list with n <= 6 and entries < n, with no forbidden pair and with seeded ones."""
+    rng = random.Random(4181)
+    outcomes = {True: 0, False: 0}
+    for n in range(1, 7):
+        for target in itertools.product(range(n), repeat=n):
+            for forbidden in (set(), _random_forbidden(rng, n), _random_forbidden(rng, n)):
+                expected = reference_pair_off(target, forbidden)
+                outcomes[expected is not None] += 1
+                assert _pair_off(list(target), forbidden) == expected, (target, forbidden)
+    assert min(outcomes.values()) > 10_000, outcomes
+
+
+def test_pair_off_matches_reference_on_random_targets():
+    rng = random.Random(6765)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 120)
+        target = [rng.randrange(n) for _ in range(n)]
+        if rng.random() < 0.5:  # the degrees of a random graph: met in full when nothing is forbidden
+            target = [0] * n
+            p = rng.random()
+            for e in all_pairs(n):
+                if rng.random() < p:
+                    for x in e:
+                        target[x] += 1
+        forbidden = _random_forbidden(rng, n) if rng.random() < 0.7 else set()
+        expected = reference_pair_off(target, forbidden)
+        outcomes[expected is not None] += 1
+        assert _pair_off(target, forbidden) == expected, (target, sorted(forbidden))
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_switch_randomize_identity_and_triangle():
