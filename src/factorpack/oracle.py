@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
 from .coloring import DegreeSequence, FactorCertificate
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, OddVertexCount
 from .graphs import SimpleGraph, edge
 from .matching import Matching
 from .realize import degree_sequence_checked, erdos_gallai_graphic_raw
@@ -121,10 +121,10 @@ def bf_disjoint_one_factors(g: SimpleGraph, t: int,
     orderings of any witness without losing completeness.
     """
     n = g.n
-    if n % 2 != 0:
-        return None
     if t == 0:
         return []
+    if n % 2 != 0:
+        return None
     adj = g.adjacency()
     counter = _Budget(budget)
     used: set[tuple[int, int]] = set()
@@ -173,8 +173,11 @@ def bf_conjecture_search(pi, k: int, realization_budget: int = 2_000_000,
     The realization space is searched exhaustively (depth-first over adjacency
     rows with residual-graphicality pruning), so a None return is an
     exhaustively verified absence: a counterexample to the packing conjecture.
+    Raises OddVertexCount for odd n, where no perfect matching exists.
     """
     ds = degree_sequence_checked(pi, k)
+    if ds.n % 2 != 0:
+        raise OddVertexCount(f"n={ds.n} must be even")
 
     def visit(edges: set[tuple[int, int]]):
         g = SimpleGraph(ds.n, set(edges))

@@ -76,6 +76,9 @@ TWO_VERTEX_CERT = ('{"n": 2, "pi": [1, 1], "k": 0, "mode": "kundu", "one_factors
     (["verify", "--cert", "-", "<stdin>", TWO_VERTEX_CERT.replace('"kundu"', "3")], 5),
     (["kundu", "--pi", "0", "--k", "0"], 0),  # K_1: an empty coloring
     (["kundu", "--pi", "", "--k", "0"], 5),
+    (["conjecture", "--pi", "2,2,2", "--k", "0"], 3),  # odd n, as four-ones: no perfect matching
+    (["conjecture", "--pi", "4,4,4,4,4", "--k", "2"], 3),
+    (["conjecture", "--pi", "3,3,1,1,1", "--k", "1"], 1),  # the degree check comes first
 ])
 def test_exit_codes_at_the_input_boundary(argv, expected, monkeypatch):
     if "<stdin>" in argv:

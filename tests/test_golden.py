@@ -134,6 +134,7 @@ CASES = [
     ("conjecture-2x4-k2-text", ["conjecture", "--pi", "2,2,2,2", "--k", "2", "--format", "text"], 0),
     ("conjecture-2x6-k2", ["conjecture", "--pi", "2,2,2,2,2,2", "--k", "2"], 0),
     ("conjecture-3x6-k3", ["conjecture", "--pi", "3,3,3,3,3,3", "--k", "3"], 0),
+    ("conjecture-odd-n", ["conjecture", "--pi", "4,4,4,4,4", "--k", "2"], 3),
     # sweep, plus the trace file
     ("sweep-4-6-report", ["sweep", "--n", "4,6", "--report", REPORT], 0),
     ("sweep-4-text", ["sweep", "--n", "4", "--format", "text"], 0),

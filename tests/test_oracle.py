@@ -12,7 +12,7 @@ from factorpack import (
     verify_certificate,
 )
 from factorpack.coloring import FactorCertificate
-from factorpack.errors import BudgetExceeded
+from factorpack.errors import BudgetExceeded, NotGraphic, OddVertexCount
 from factorpack.graphs import all_pairs
 
 
@@ -46,6 +46,18 @@ def test_bf_disjoint_one_factors_examples():
     assert found is not None and len(found) == 2
     two_tri = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert bf_disjoint_one_factors(two_tri, 1) is None
+    for n in range(1, 6):  # zero matchings exist at every n; one needs even n
+        k_n = SimpleGraph.from_edges(n, list(all_pairs(n)))
+        assert bf_disjoint_one_factors(k_n, 0) == []
+        assert (bf_disjoint_one_factors(k_n, 1) is None) == (n % 2 == 1)
+
+
+def test_bf_conjecture_rejects_odd_n():
+    for pi, k in (([2, 2, 2], 0), ([4, 4, 4, 4, 4], 2), ([0], 0)):
+        with pytest.raises(OddVertexCount):
+            bf_conjecture_search(pi, k)
+    with pytest.raises(NotGraphic):  # the degree check comes first
+        bf_conjecture_search([3, 3, 1, 1, 1], 1)
 
 
 def test_bf_conjecture_trivial_cases():
