@@ -12,7 +12,8 @@ array, a realization keeps the edge set of every class except white, so
 reading a class costs its size rather than a scan of K_n.  White, the
 complement of the realization, is never indexed: no pipeline reads it, and
 indexing it would hold a set entry for every non-edge.  A realization is
-built from its non-white classes, at their size; only this module knows the pair order.
+built from its non-white classes, at their size; only this module knows
+the order of the pairs in the array.
 
 Values are safe to share for reading; all mutation goes through
 ``apply_swap_batch`` which requires exclusive access (no internal locking).
@@ -114,12 +115,12 @@ class DegreeSequence:
 
     @classmethod
     def of(cls, values) -> "DegreeSequence":
-        given = [int(v) for v in values]
-        n = len(given)
-        for d in given:
+        original = tuple(int(v) for v in values)
+        n = len(original)
+        for d in original:
             if d < 0 or d > max(n - 1, 0):
                 raise ValueError(f"degree {d} out of range for n={n}")
-        return cls(tuple(sorted(given, reverse=True)))
+        return cls(tuple(sorted(original, reverse=True)))
 
     @property
     def n(self) -> int:

@@ -9,7 +9,9 @@ degree-capacity gadget reduced to maximum matching.  When pi - k's
 realization has no k-regular complement, the last stage starts over from
 the Havel-Hakimi realization of pi and applies two-switches, each chosen
 deterministically so that a maximum degree-<=k subgraph grows, until that
-subgraph is a k-factor.  Every stage is deterministic and polynomial.
+subgraph is a k-factor.  Every stage is deterministic and polynomial.  The
+realization is handed over as two classes: the fill as the residual, and
+every other realization edge as black.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def _pair_off(target: list[int], forbidden: set[tuple[int, int]]) -> set[tuple[i
 
     Each step orders the vertices that still have need by need, largest
     first and ties by lowest id; the first vertex joins the first vertices
-    after it that it may.  Returns None when a vertex runs out of partners;
-    a processed vertex's need is 0, so no edge repeats.
+    after it whose pair with it is not forbidden.  Returns None when a vertex
+    runs out of partners; a processed vertex's need is 0, so no edge repeats.
     """
     n = len(target)
     left = list(target)
