@@ -234,6 +234,9 @@ def _sweep_workers(requested: int, tasks: int) -> int:
 
 def _cmd_sweep(args, out) -> int:
     sizes = [int(x) for x in args.n.replace(",", " ").split()]
+    for n in sizes:
+        if n % 2:  # no perfect matching, so every task would fail
+            raise OddVertexCount(f"n={n} must be even")
     modes = ["four-ones", "half-k"] if args.mode == "both" else [args.mode]
     tasks = []
     for n in sizes:

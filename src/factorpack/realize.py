@@ -4,15 +4,21 @@
 k-regular spanning "residual" class plus black leftovers: it realizes pi - k
 deterministically, then fills the complement with a k-regular spanning
 subgraph.  The fill runs in stages: a greedy pairing pass and a circulant
-sweep for the common cases, then an exact complement search via a
-degree-capacity gadget reduced to maximum matching.  When pi - k's
+sweep for the common cases, then an exact complement search.  When pi - k's
 realization has no k-regular complement, the last stage starts over from
 the Havel-Hakimi realization of pi and applies two-switches, each chosen
 deterministically so that a maximum degree-<=k subgraph grows, until that
 subgraph is a k-factor.  Every stage is deterministic and polynomial.  The
 realization is handed over as two classes: the fill as the residual, and
 every other realization edge as black.
-"""
+
+The exact searches start near their answer.  A max flow on the bipartite
+double cover gives a fractional k-factor, or shows there is none, in
+O(|E|^1.5) steps; rounding it along Euler circuits in O(n + |E|) leaves
+at most one vertex an edge short per odd circuit.  Only then is Tutte's
+degree-capacity gadget (n*k + 2|E| vertices, O(|E| k) adjacency entries)
+built, with the rounded edges already matched, and the blossom search runs
+once per missing edge end instead of n*k times."""
 
 from __future__ import annotations
 
@@ -139,40 +145,171 @@ def switch_randomize(g: SimpleGraph, steps: int, seed: int) -> SimpleGraph:
 # --- k-regular fills of a graph's complement ---
 
 
-def max_degree_bounded_subgraph(h: SimpleGraph, k: int) -> tuple[int, set[tuple[int, int]]]:
-    """Largest edge set of h with every vertex degree <= k.
+def _euler_round(n: int, half: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every other edge around one Euler circuit of each component of ``half``, whose degrees are even.
 
-    Reduction to maximum matching (Tutte's gadget): copies u*k .. u*k+k-1 of each
-    vertex u, then two stubs per edge, in sorted edge order, joined to each other
-    and to every copy of their own end.  Each stub pair starts matched; a matched
-    vertex stays matched, so an edge's stubs leave each other together, and the
-    edge is chosen when they do.  Rows are built ascending; a vertex's copies share one.
+    Hierholzer's walk starts at each component's lowest vertex and takes the
+    lowest unwalked edge; keeping the circuit's odd positions gives each
+    vertex half its edges, except the start of an odd circuit, one short.
     """
-    if k <= 0 or not h.edges:
-        return 0, set()
-    edges = h.sorted_edges()
-    stub_base = h.n * k
-    at: list[list[int]] = [[] for _ in range(h.n)]  # the stubs at each vertex
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(half):
+        rows[u].append((v, j))
+        rows[v].append((u, j))
+    walked = [False] * len(half)
+    ptr = [0] * n
+    kept = []
+    for start in range(n):
+        stack, circuit = [(start, -1)], []  # circuit: edge ids in the order Hierholzer closes them, then -1
+        while stack:
+            x, j = stack[-1]
+            row, i = rows[x], ptr[x]
+            while i < len(row) and walked[row[i][1]]:
+                i += 1
+            ptr[x] = i
+            if i < len(row):
+                walked[row[i][1]] = True
+                stack.append(row[i])
+            else:
+                circuit.append(stack.pop()[1])
+        kept += (half[j] for j in circuit[1:-1:2])
+    return kept
+
+
+def _flow_start(n: int, k: int, edges: list[tuple[int, int]]) -> tuple[bool, list[tuple[int, int]]]:
+    """(whether the graph of ``edges`` has a fractional k-factor, a start: some of its edges, degree <= k).
+
+    Max flow y on the double cover: s -> u (capacity k), u -> v' (1) for each
+    edge uv both ways, v' -> t (k), by Dinic's algorithm without recursion
+    after a greedy pass; left u is node u, right v' is n + v.  A flow of n*k
+    makes x_uv = (y_uv' + y_vu') / 2 a fractional k-factor; the start is its
+    1-edges plus its 1/2-edges rounded by ``_euler_round``.  A shorter flow
+    starts from its 1-edges.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    on: set[int] = set()  # u * n + v for each unit on u -> v'; only tested, never iterated
+    out, inn = [0] * n, [0] * n
+    for u in range(n):
+        for v in adj[u]:
+            if out[u] < k and inn[v] < k:
+                on.add(u * n + v)
+                out[u] += 1
+                inn[v] += 1
+    flow = sum(out)
+    while flow < n * k:
+        level = [-1] * (2 * n)
+        queue = [u for u in range(n) if out[u] < k]
+        for u in queue:
+            level[u] = 0
+        top = -1  # the level of the first right vertices with room: t's, less one
+        for x in queue:
+            if 0 <= top <= level[x]:
+                break
+            for y in adj[x % n]:
+                z = n + y if x < n else y
+                if level[z] < 0 and (x * n + y not in on if x < n else y * n + x - n in on):
+                    level[z] = level[x] + 1
+                    queue.append(z)
+                    if z >= n and inn[y] < k and top < 0:
+                        top = level[z]
+        if top < 0:
+            break
+        it = [0] * (2 * n)
+        for root in range(n):
+            path = [root] if level[root] == 0 else []
+            while path and out[root] < k:
+                x = path[-1]
+                row, i, want = adj[x % n] if level[x] < top else [], it[x], level[x] + 1
+                while i < len(row) and (level[row[i]] != want or row[i] * n + x - n not in on if x >= n
+                                        else level[n + row[i]] != want or x * n + row[i] in on):
+                    i += 1
+                it[x] = i
+                if i == len(row):  # a dead end (at t's level, a full right vertex): step back, skip its arc
+                    path.pop()
+                    if path:
+                        it[path[-1]] += 1
+                    continue
+                path.append(row[i] if x >= n else n + row[i])
+                if level[path[-1]] == top and inn[row[i]] < k:  # t: flip the path's arcs
+                    on.update(path[j] * n + path[j + 1] - n for j in range(0, len(path), 2))
+                    on.difference_update(path[j + 1] * n + path[j] - n for j in range(1, len(path) - 1, 2))
+                    out[root] += 1
+                    inn[row[i]] += 1
+                    flow += 1
+                    del path[1:]
+    y = [(u * n + v in on) + (v * n + u in on) for (u, v) in edges]
+    start = [e for e, w in zip(edges, y) if w == 2]
+    if flow < n * k:
+        return False, start
+    return True, start + _euler_round(n, [e for e, w in zip(edges, y) if w == 1])
+
+
+def _warm_gadget(n: int, k: int, edges: list[tuple[int, int]],
+                 start: list[tuple[int, int]]) -> tuple[int, set[tuple[int, int]]]:
+    """Grow ``start`` (degree <= k, inside ``edges``) into a largest degree-<=k edge set.
+
+    Tutte's gadget: copies u*k .. u*k+k-1 of each vertex u, then two stubs per
+    edge, in ``edges`` order, joined to each other and to every copy of their
+    own end.  A start edge's stubs are matched to the lowest free copies of its
+    ends, every other stub pair to itself.  A matched vertex stays matched, so
+    an edge's stubs leave each other together, and the edge is chosen when they
+    do.  Rows are built ascending; a vertex's copies share one.
+    """
+    fill = set(start)
+    if 2 * len(fill) == n * k:
+        return len(fill), fill
+    stub_base = n * k
+    at: list[list[int]] = [[] for _ in range(n)]  # the stubs at each vertex
     stub_rows: list[list[int]] = []
     match = [-1] * stub_base
+    used = [0] * n  # copies of each vertex matched to a start edge's stub
     for j, (u, v) in enumerate(edges):
         su = stub_base + 2 * j
         at[u].append(su)
         at[v].append(su + 1)
         stub_rows += ([*range(u * k, u * k + k), su + 1], [*range(v * k, v * k + k), su])
-        match += (su + 1, su)
+        if (u, v) in fill:
+            cu, cv = u * k + used[u], v * k + used[v]
+            used[u] += 1
+            used[v] += 1
+            match[cu], match[cv] = su, su + 1
+            match += (cu, cv)
+        else:
+            match += (su + 1, su)
     _maximize([row for row in at for _ in range(k)] + stub_rows, match)
     chosen = {e for j, e in enumerate(edges) if match[stub_base + 2 * j] < stub_base}
     return len(chosen), chosen
 
 
+def max_degree_bounded_subgraph(h: SimpleGraph, k: int) -> tuple[int, set[tuple[int, int]]]:
+    """Largest edge set of h with every vertex degree <= k.
+
+    ``_flow_start`` gives a start of degree <= k; one blossom pass over
+    Tutte's gadget grows it to a maximum, since an augmenting path the pass
+    misses never appears later.  Cost: O(|E|^1.5) for the flow, O(n + |E|)
+    for the rounding, and only if the start is short, O(|E| k) to build the
+    gadget plus one search per missing edge end.
+    """
+    if k <= 0 or not h.edges:
+        return 0, set()
+    edges = h.sorted_edges()
+    return _warm_gadget(h.n, k, edges, _flow_start(h.n, k, edges)[1])
+
+
 def find_k_factor(h: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
-    """A k-regular spanning subgraph of h, or None if h has none."""
+    """A k-regular spanning subgraph of h, or None if h has none; None with no gadget if no fractional one."""
     if k == 0:
         return set()
     if h.n * k % 2 != 0 or any(d < k for d in h.degrees()):
         return None
-    size, chosen = max_degree_bounded_subgraph(h, k)
+    edges = h.sorted_edges()
+    full, start = _flow_start(h.n, k, edges)
+    if not full:
+        return None
+    size, chosen = _warm_gadget(h.n, k, edges, start)
     return chosen if size == h.n * k // 2 else None
 
 

@@ -79,6 +79,8 @@ TWO_VERTEX_CERT = ('{"n": 2, "pi": [1, 1], "k": 0, "mode": "kundu", "one_factors
     (["conjecture", "--pi", "2,2,2", "--k", "0"], 3),  # odd n, as four-ones: no perfect matching
     (["conjecture", "--pi", "4,4,4,4,4", "--k", "2"], 3),
     (["conjecture", "--pi", "3,3,1,1,1", "--k", "1"], 1),  # the degree check comes first
+    (["sweep", "--n", "5"], 3),  # odd n, as four-ones: checked before any task is built
+    (["sweep", "--n", "3,4"], 3),
 ])
 def test_exit_codes_at_the_input_boundary(argv, expected, monkeypatch):
     if "<stdin>" in argv:

@@ -17,7 +17,14 @@ multi-switch, which changed the certificate; the trace lost the peel and
 the fold-back batch.  Three text cases run the fill stages at scale:
 ``kundu-32x128-k16-text`` and ``four-ones-9x16-k5-text`` fill with whole
 circulant rings, and ``half-k-40-gadget-k10-text``, a G(40, 1/2) degree
-sequence, fills through the complement gadget.
+sequence, fills through the complement gadget.  When the exact searches
+started from a max flow and its Euler rounding, the cases whose fill reaches
+them and whose bytes moved were re-recorded: ``kundu-exhaustive``,
+``kundu-exhaustive-text``, ``four-ones-exhaustive``,
+``four-ones-unsorted-text``, ``half-k-7x6-6x2-k5`` and
+``half-k-40-gadget-k10-text``, and the ``sweep-4-6-report`` summary and CSV.
+``four-ones-deficit`` is an input whose rounding leaves deficits for the
+gadget.
 
 To re-record after a deliberate output change, from the repository root:
 ``PYTHONPATH=src python -m tests.test_golden NAME ...`` rewrites only the
@@ -91,6 +98,8 @@ CASES = [
     # a circulant fill under four peels
     ("four-ones-9x16-k5-text",
      ["four-ones", "--pi", ",".join(["9"] * 16), "--k", "5", "--format", "text"], 0),
+    # the flow's Euler rounding leaves deficits, which the warm-started gadget fills
+    ("four-ones-deficit", ["four-ones", "--pi", "5,5,5,5,4,4,3,3,3,3", "--k", "1"], 0),
     # half-k
     ("half-k-5x6-k5", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5"], 0),
     ("half-k-5x6-k5-text", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5", "--format", "text"], 0),
@@ -139,6 +148,7 @@ CASES = [
     ("sweep-4-6-report", ["sweep", "--n", "4,6", "--report", REPORT], 0),
     ("sweep-4-text", ["sweep", "--n", "4", "--format", "text"], 0),
     ("sweep-6-half-k", ["sweep", "--n", "6", "--mode", "half-k"], 0),
+    ("sweep-odd-n", ["sweep", "--n", "5"], 3),
     ("half-k-5x6-k5-trace", ["half-k", "--pi", "5,5,5,5,5,5", "--k", "5", "--trace", TRACE], 0),
     ("half-k-4x20-k4-trace", ["half-k", "--pi", ",".join(["4"] * 20), "--k", "4", "--trace", TRACE], 0),
 ]

@@ -11,10 +11,10 @@ from factorpack import (
     maximum_matching,
     toggle_alternating_path,
 )
-from factorpack import realize
 from factorpack.errors import InvalidInitial, NotAlternating, NotRegular, OddLengthPath
-from factorpack.matching import _maximize, check_odd_cycle_certificate
+from factorpack.matching import check_odd_cycle_certificate
 from tests.conftest import random_regular_graph
+from tests.test_realize import reference_gadget
 
 
 def cycle_graph(n):
@@ -183,28 +183,20 @@ def partial_matching(rng, g):
     return Matching.from_edges(taken)
 
 
-def gadgets_of(h, k, monkeypatch):
-    """The (gadget, seed matching) pairs max_degree_bounded_subgraph hands to the matcher.
+def gadgets_of(h, k):
+    """The (gadget, seed matching) pair of the cold reference search on h.
 
-    The gadget reaches ``_maximize`` as adjacency rows and a mate array;
-    each is rebuilt as the graph and matching the reference search takes.
+    The gadget is built as adjacency rows and a mate array, as
+    ``_maximize`` takes it, and rebuilt as the graph and matching the
+    reference search takes.
     """
-    seen = []
-
-    def spy(adj, match):
-        g = SimpleGraph.from_edges(len(adj), [(u, w) for u, row in enumerate(adj) for w in row])
-        assert g.adjacency() == adj, "gadget rows must be ascending and symmetric"
-        seen.append((g, Matching.from_edges((v, w) for v, w in enumerate(match) if w > v)))
-        _maximize(adj, match)
-
-    with monkeypatch.context() as m:
-        m.setattr(realize, "_maximize", spy)
-        realize.max_degree_bounded_subgraph(h, k)
-    assert len(seen) == 1
-    return seen
+    adj, match = reference_gadget(h, k)
+    g = SimpleGraph.from_edges(len(adj), [(u, w) for u, row in enumerate(adj) for w in row])
+    assert g.adjacency() == adj, "gadget rows must be ascending and symmetric"
+    return [(g, Matching.from_edges((v, w) for v, w in enumerate(match) if w > v))]
 
 
-def test_maximum_matching_same_edges_as_reference(monkeypatch):
+def test_maximum_matching_same_edges_as_reference():
     """Same edge set as the reference, with and without a starting matching."""
     rng = random.Random(20261018)
     plain = [PETERSEN, two_triangles()]
@@ -213,7 +205,7 @@ def test_maximum_matching_same_edges_as_reference(monkeypatch):
     cases = [(g, partial_matching(rng, g)) for g in plain]
     for n, p, k in ((8, 0.6, 2), (12, 0.5, 3), (12, 0.9, 5), (16, 0.5, 4), (24, 0.5, 6), (30, 0.3, 3)):
         h = gnp(rng, n, p)
-        cases += gadgets_of(h, k, monkeypatch) + gadgets_of(h.complement(), k, monkeypatch)
+        cases += gadgets_of(h, k) + gadgets_of(h.complement(), k)
     for g, initial in cases:
         for start in (None, initial):
             expected = reference_maximum_matching(g, start)

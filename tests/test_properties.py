@@ -33,11 +33,12 @@ from factorpack.realize import (  # noqa: E402
     havel_hakimi_realize,
 )
 from tests.conftest import recount_colors  # noqa: E402
-from tests.test_realize import reaches_switch_repair  # noqa: E402
+from tests.test_realize import engine_path, reaches_switch_repair  # noqa: E402
 
 # Found by a seeded search; the names say which fill of kundu_realize each one reaches.
 GADGET = ([8, 8, 7, 7, 7, 6, 5, 5, 5, 4], 4)
 GADGET_N14 = ([12, 10, 10, 10, 10, 10, 10, 8, 8, 8, 8, 8, 6, 6], 4)
+GADGET_DEFICIT = ([5, 5, 5, 5, 4, 4, 3, 3, 3, 3], 1)  # the Euler rounding leaves deficits
 SWITCH_REPAIR = ([11, 11, 11, 11, 11, 10, 10, 10, 10, 8, 8, 7], 7)
 SWITCH_REPAIR_N16 = ([15, 15, 15, 15, 15, 14, 14, 14, 14, 13, 13, 12, 12, 12, 12, 11], 4)
 
@@ -74,6 +75,7 @@ def _check(real, start, pi, k, mode):
 @given(graphic_requests())
 @example(GADGET)
 @example(GADGET_N14)
+@example(GADGET_DEFICIT)
 @example(SWITCH_REPAIR)
 @example(SWITCH_REPAIR_N16)
 def test_pipeline_outputs_verify_replay_and_recount(request_pi_k):
@@ -87,9 +89,11 @@ def test_pipeline_outputs_verify_replay_and_recount(request_pi_k):
 
 
 def test_explicit_examples_reach_the_fills_they_are_named_for():
-    for pi, k in (GADGET, GADGET_N14):
+    for pi, k in (GADGET, GADGET_N14, GADGET_DEFICIT):
         r = havel_hakimi_realize([d - k for d in pi])
         assert _greedy_fill(r, k) is None and _circulant_fill(r, k) is None
         assert not reaches_switch_repair(pi, k)
+    pi, k = GADGET_DEFICIT
+    assert engine_path(havel_hakimi_realize([d - k for d in pi]).complement(), k) == "deficit"
     for pi, k in (SWITCH_REPAIR, SWITCH_REPAIR_N16):
         assert reaches_switch_repair(pi, k)

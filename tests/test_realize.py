@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,11 @@ from factorpack import (
 from factorpack.coloring import BLACK, RESIDUAL, WHITE, DegreeSequence, certificate_from_realization
 from factorpack.errors import InternalInvariantError, NotGraphic, NotGraphicMinusK, PreconditionViolated
 from factorpack.graphs import all_pairs, edge
+from factorpack.matching import _maximize
+from factorpack.oracle import enumerate_graphic
 from factorpack.realize import (
     _circulant_fill,
+    _flow_start,
     _greedy_fill,
     _pair_off,
     _switch_repair,
@@ -30,6 +35,13 @@ from factorpack.realize import (
 
 # The n=20, k=1 input that kept the old exhaustive fallback busy for over 150 s.
 N20_K1 = [19, 18, 17, 17, 16, 16, 15, 14, 13, 13, 13, 12, 12, 12, 8, 6, 6, 4, 3, 2]
+
+# One (pi, k) per outcome of the flow on the complement of pi - k's realization, found by a
+# seeded search: the Euler rounding completes, it leaves deficits for the gadget, and there
+# is no fractional k-factor.
+ROUNDS = ([8, 8, 7, 7, 7, 6, 5, 5, 5, 4], 4)
+DEFICIT = ([5, 5, 5, 5, 4, 4, 3, 3, 3, 3], 1)
+NO_FRACTIONAL = ([6, 6, 6, 6, 6, 6, 2, 2, 2, 2], 1)
 
 
 def brute_degree_multisets(n: int) -> set[tuple[int, ...]]:
@@ -297,6 +309,138 @@ def test_find_k_factor_gadget_agrees_with_brute_force():
                 deg[v] += 1
             assert all(d == k for d in deg)
             assert found <= edges
+
+
+def reference_gadget(h: SimpleGraph, k: int) -> tuple[list[list[int]], list[int]]:
+    """Tutte's gadget for h as adjacency rows and a mate array, every stub pair matched to itself.
+
+    Copies u*k .. u*k+k-1 of each vertex u, then two stubs per edge, in sorted
+    edge order, joined to each other and to every copy of their own end.
+    """
+    stub_base = h.n * k
+    at: list[list[int]] = [[] for _ in range(h.n)]
+    stub_rows: list[list[int]] = []
+    match = [-1] * stub_base
+    for j, (u, v) in enumerate(h.sorted_edges()):
+        su = stub_base + 2 * j
+        at[u].append(su)
+        at[v].append(su + 1)
+        stub_rows += ([*range(u * k, u * k + k), su + 1], [*range(v * k, v * k + k), su])
+        match += (su + 1, su)
+    return [row for row in at for _ in range(k)] + stub_rows, match
+
+
+def reference_max_degree_bounded_subgraph(h: SimpleGraph, k: int) -> tuple[int, set[tuple[int, int]]]:
+    """Reference: the cold start, one blossom pass over the gadget from every stub pair matched."""
+    if k <= 0 or not h.edges:
+        return 0, set()
+    adj, match = reference_gadget(h, k)
+    _maximize(adj, match)
+    chosen = {e for j, e in enumerate(h.sorted_edges()) if match[h.n * k + 2 * j] < h.n * k}
+    return len(chosen), chosen
+
+
+def reference_has_k_factor(h: SimpleGraph, k: int) -> bool:
+    if k == 0:
+        return True
+    if h.n * k % 2 or any(d < k for d in h.degrees()):
+        return False
+    return reference_max_degree_bounded_subgraph(h, k)[0] == h.n * k // 2
+
+
+def assert_engine_matches_reference(h: SimpleGraph, k: int) -> None:
+    """Same size as the cold reference, a valid degree-<=k subgraph, and the same k-factor answer."""
+    size, chosen = max_degree_bounded_subgraph(h, k)
+    assert size == reference_max_degree_bounded_subgraph(h, k)[0], (h.n, k, sorted(h.edges))
+    assert size == len(chosen) and chosen <= h.edges
+    assert all(d <= k for d in SimpleGraph(h.n, chosen).degrees())
+    found = find_k_factor(h, k)
+    assert (found is not None) == reference_has_k_factor(h, k), (h.n, k, sorted(h.edges))
+    if found is not None:
+        assert found <= h.edges and SimpleGraph(h.n, found).degrees() == [k] * h.n
+
+
+def engine_path(h: SimpleGraph, k: int) -> str:
+    """Which path the engine takes on h: 'rounds', 'deficit' (the gadget runs) or 'no-fractional'."""
+    full, start = _flow_start(h.n, k, h.sorted_edges())
+    if not full:
+        return "no-fractional"
+    return "rounds" if 2 * len(start) == h.n * k else "deficit"
+
+
+def test_max_degree_bounded_subgraph_matches_the_cold_reference_on_random_graphs():
+    """Seeded G(n, p) up to n = 200, sparse to dense, with small and large k."""
+    rng = random.Random(10946)
+    paths = {"rounds": 0, "deficit": 0, "no-fractional": 0}
+    for n in (2, 5, 8, 13, 21, 34, 64, 120, 200):
+        for p in (1.5 / n, 0.1, 0.5, 0.9):
+            h = SimpleGraph(n, {e for e in all_pairs(n) if rng.random() < p})
+            for k in ((1, 2, 3, max(1, int(n * p / 3))) if n <= 64 else (1, 3)):
+                assert_engine_matches_reference(h, k)
+                if h.edges:
+                    paths[engine_path(h, k)] += 1
+    assert min(paths.values()) >= 5, paths
+
+
+def _perfbench_corpus():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_max_degree_bounded_subgraph_matches_the_cold_reference_on_the_bench_stage_inputs():
+    """Every graph the engine searches in a dense-random and a sweep-n10 pass at seed 1."""
+    corpus = _perfbench_corpus()
+    complements, hh = {}, {}
+    for workload in ("dense-random", "sweep-n10"):
+        for _mode, pi, k in corpus.build(workload, 1)[0]:
+            r = havel_hakimi_realize([d - k for d in sorted(pi, reverse=True)])
+            if _greedy_fill(r, k) is None and _circulant_fill(r, k) is None:
+                complements[(tuple(pi), k)] = r.complement()
+    for (pi, k), h in complements.items():
+        assert_engine_matches_reference(h, k)
+        if find_k_factor(h, k) is None:
+            hh[(pi, k)] = havel_hakimi_realize(pi)
+            assert_engine_matches_reference(hh[(pi, k)], k)
+    assert sum(1 for (pi, _k) in complements if len(pi) == 40) == 16
+    assert len(hh) > 20
+
+
+def test_find_k_factor_answers_as_the_reference_on_every_admissible_input_up_to_n8():
+    """Every graphic pi with n <= 8 and k >= 1, pi - k graphic: pi - k's complement and pi's realization."""
+    paths = {"rounds": 0, "deficit": 0, "no-fractional": 0}
+    for n in range(1, 9):
+        for ds in enumerate_graphic(n, n - 1):
+            for k in range(1, n):
+                if not erdos_gallai_graphic_raw([d - k for d in ds.degrees]):
+                    continue
+                complement = havel_hakimi_realize([d - k for d in ds.degrees]).complement()
+                for h in (complement, havel_hakimi_realize(ds)):
+                    assert (find_k_factor(h, k) is not None) == reference_has_k_factor(h, k), (ds.degrees, k)
+                    if h.n * k % 2 == 0 and min(h.degrees()) >= k:
+                        paths[engine_path(h, k)] += 1
+    assert min(paths.values()) >= 10, paths
+
+
+def test_explicit_inputs_take_the_engine_path_they_are_named_for():
+    for (pi, k), path in ((ROUNDS, "rounds"), (DEFICIT, "deficit"), (NO_FRACTIONAL, "no-fractional")):
+        r = havel_hakimi_realize([d - k for d in pi])
+        assert _greedy_fill(r, k) is None and _circulant_fill(r, k) is None, pi
+        h = r.complement()
+        assert engine_path(h, k) == path, pi
+        assert_engine_matches_reference(h, k)
+        assert (find_k_factor(h, k) is None) == (path == "no-fractional")
+        real = kundu_realize(pi, k)
+        assert verify_certificate(pi, k, certificate_from_realization(real, "kundu", k)).passed
+
+
+def test_find_k_factor_on_a_long_cycle_needs_no_recursion():
+    n = 3000
+    cycle = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    assert len(find_k_factor(cycle, 1)) == n // 2
+    assert find_k_factor(cycle, 2) == cycle.edges
 
 
 def reaches_switch_repair(pi, k: int) -> bool:
