@@ -237,6 +237,8 @@ def _cmd_sweep(args, out) -> int:
     for n in sizes:
         if n % 2:  # no perfect matching, so every task would fail
             raise OddVertexCount(f"n={n} must be even")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     modes = ["four-ones", "half-k"] if args.mode == "both" else [args.mode]
     tasks = []
     for n in sizes:
@@ -248,8 +250,6 @@ def _cmd_sweep(args, out) -> int:
                     if mode == "half-k" and k < 4:
                         continue
                     tasks.append((n, ds.degrees, k, mode, args.seed))
-    if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     workers = _sweep_workers(args.workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

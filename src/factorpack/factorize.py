@@ -48,7 +48,7 @@ from .errors import (
     PreconditionViolated,
     TooManyOneFactors,
 )
-from .graphs import SimpleGraph, connected_components, cycles_of_two_regular, edge, euler_circuit
+from .graphs import SimpleGraph, cycles_of_two_regular, edge, euler_circuit
 from .matching import Matching, lemma_odd_certificate, maximum_matching
 from .realize import degree_sequence_checked, kundu_realize
 from .switching import multi_switch, parallel_two_switch
@@ -113,8 +113,9 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
 
     ``work`` holds the cycles and the matching: RESIDUAL when peeling, BLACK
     when converting a 2-factor recolored black; it picks the switch strategy.
-    Cycles other than c1 and c2 are never touched.  ``case`` is the
-    CrossEdgeCase that produced the bridge between them.
+    Cycles other than c1 and c2 are never touched: every edge recolored by
+    the trace batches the merge appends must have an endpoint in c1 or c2.
+    ``case`` is the CrossEdgeCase that produced the bridge between them.
     """
     if work not in (RESIDUAL, BLACK):
         raise PreconditionViolated(f"odd cycles must lie in {RESIDUAL} or {BLACK}, not {work}")
@@ -133,8 +134,7 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
         if (a in vs) != (b in vs):
             raise PreconditionViolated(f"matching edge ({a}, {b}) straddles the cycle pair")
 
-    outside_before = {e for e in real.edges_of(work) if e[0] not in vs and e[1] not in vs}
-
+    first_batch = len(real.trace.batches)
     cross = sorted(edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) is work)
     if cross:
         case = CrossEdgeCase(edges=(cross[0],) * 4, colors=(work,) * 4, resolution="bridge")
@@ -143,16 +143,14 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
     else:
         case = _switch_temp_black_pair(real, c1, c2)
 
-    work_edges = real.edges_of(work)
-    sub_edges = {e for e in work_edges if e[0] in vs and e[1] in vs}
+    if any(vs.isdisjoint(e) for batch in real.trace.batches[first_batch:] for (e, _, _) in batch.changes):
+        raise InternalInvariantError("a merge recolored an edge with no endpoint in its two cycles")
+
+    sub_edges = {e for e in real.class_graph(work).edges if e[0] in vs and e[1] in vs}
     sub = maximum_matching(SimpleGraph(real.n, sub_edges))
     if sub.covered != frozenset(vs):
         raise ChainStuck(
             f"perfect matching over the merged cycles is missing {sorted(vs - set(sub.covered))}")
-
-    outside_after = {e for e in work_edges if e[0] not in vs and e[1] not in vs}
-    if outside_before != outside_after:
-        raise InternalInvariantError("edges of untouched cycles changed during a merge")
 
     kept = {e for e in matching.edges if e[0] not in vs}
     merged = Matching.from_edges(kept | sub.edges)
@@ -272,10 +270,7 @@ def petersen_two_factorize(g: SimpleGraph, r: int) -> list[list[tuple[int, int]]
     if any(d != 2 * r for d in degrees) or r < 0:
         raise NotEvenRegular(f"degrees {sorted(set(degrees))} are not constant 2r with r={r}")
     n = g.n
-    arcs: set[tuple[int, int]] = set()
-    for comp in connected_components(g):
-        circuit = euler_circuit(g, comp[0])
-        arcs.update((a, n + b) for a, b in zip(circuit, circuit[1:]))
+    arcs = {(a, n + b) for walk in euler_circuit(g) for a, b in zip(walk, walk[1:])}
     factors = []
     for _ in range(r):
         pm = maximum_matching(SimpleGraph(2 * n, arcs))

@@ -87,55 +87,50 @@ def connected_components(g: SimpleGraph) -> list[list[int]]:
 
 
 def cycles_of_two_regular(n: int, edges: set[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Decompose a 2-regular edge set into vertex cycles.
+    """The cycles of a 2-regular edge set on 0 .. n-1: ``euler_circuit``'s walks less their closing vertex.
 
-    Each cycle starts at its smallest vertex and proceeds toward that vertex's
-    smaller neighbour; cycles are ordered by their smallest vertex.
+    Each starts at its smallest vertex and heads to that vertex's smaller
+    neighbour; cycles come ordered by smallest vertex.  O(n + |E| log |E|).
+    ValueError names the lowest vertex whose degree is neither 0 nor 2.
     """
-    adj: dict[int, list[int]] = {}
-    for (u, v) in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for x, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise ValueError(f"vertex {x} has degree {len(nbrs)}, expected 2")
-        nbrs.sort()
-    cycles = []
-    visited: set[int] = set()
-    for start in sorted(adj):
-        if start in visited:
+    g = SimpleGraph.from_edges(n, edges)
+    for x, d in enumerate(g.degrees()):
+        if d not in (0, 2):
+            raise ValueError(f"vertex {x} has degree {d}, expected 2")
+    return [tuple(walk[:-1]) for walk in euler_circuit(g)]
+
+
+def euler_circuit(g: SimpleGraph) -> list[list[int]]:
+    """A closed walk through all edges of each component that has any (Hierholzer); degrees must be even.
+
+    Walks start at their component's lowest vertex, so they come in that
+    order, and take the lowest unwalked edge at each vertex: edge ids index the
+    sorted edges, so each vertex's row of ids ascends by neighbour, and one
+    pointer per row skips walked ids.  O(|E| log |E|) to sort, then O(n + |E|).
+    """
+    edges = g.sorted_edges()
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for j, (u, v) in enumerate(edges):
+        rows[u].append(j)
+        rows[v].append(j)
+    walked = [False] * len(edges)
+    ptr = [0] * g.n
+    walks = []
+    for start in range(g.n):
+        if ptr[start] == len(rows[start]):  # no edges, or its component is walked
             continue
-        cycle = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            a, b = adj[cur]
-            nxt = a if a != prev else b
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            visited.add(nxt)
-            prev, cur = cur, nxt
-        cycles.append(tuple(cycle))
-    return cycles
-
-
-def euler_circuit(g: SimpleGraph, start: int) -> list[int]:
-    """Closed walk using every edge exactly once (Hierholzer); degrees must be even."""
-    remaining: list[set[int]] = [set() for _ in range(g.n)]
-    for (u, v) in g.edges:
-        remaining[u].add(v)
-        remaining[v].add(u)
-    stack = [start]
-    circuit: list[int] = []
-    while stack:
-        x = stack[-1]
-        if remaining[x]:
-            y = min(remaining[x])
-            remaining[x].discard(y)
-            remaining[y].discard(x)
-            stack.append(y)
-        else:
-            circuit.append(stack.pop())
-    circuit.reverse()
-    return circuit
+        stack, walk = [start], []  # walk: vertices in the order Hierholzer closes them
+        while stack:
+            x = stack[-1]
+            row, i = rows[x], ptr[x]
+            while i < len(row) and walked[row[i]]:
+                i += 1
+            ptr[x] = i
+            if i < len(row):
+                walked[row[i]] = True
+                u, v = edges[row[i]]
+                stack.append(v if u == x else u)
+            else:
+                walk.append(stack.pop())
+        walks.append(walk[::-1])
+    return walks

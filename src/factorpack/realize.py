@@ -14,11 +14,11 @@ every other realization edge as black.
 
 The exact searches start near their answer.  A max flow on the bipartite
 double cover gives a fractional k-factor, or shows there is none, in
-O(|E|^1.5) steps; rounding it along Euler circuits in O(n + |E|) leaves
-at most one vertex an edge short per odd circuit.  Only then is Tutte's
-degree-capacity gadget (n*k + 2|E| vertices, O(|E| k) adjacency entries)
-built, with the rounded edges already matched, and the blossom search runs
-once per missing edge end instead of n*k times."""
+O(|E|^1.5) steps; rounding it along Euler circuits in O(n + |E| log |E|)
+leaves at most one vertex an edge short per odd circuit.  Only then is
+Tutte's degree-capacity gadget (n*k + 2|E| vertices, O(|E| k) adjacency
+entries) built, with the rounded edges already matched, and the blossom
+search runs once per missing edge end instead of n*k times."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from itertools import accumulate, islice
 
 from .coloring import BLACK, RESIDUAL, ColoredRealization, DegreeSequence
 from .errors import InternalInvariantError, NotGraphic, NotGraphicMinusK, PreconditionViolated
-from .graphs import SimpleGraph, edge
+from .graphs import SimpleGraph, edge, euler_circuit
 from .matching import _maximize
 
 
@@ -146,34 +146,14 @@ def switch_randomize(g: SimpleGraph, steps: int, seed: int) -> SimpleGraph:
 
 
 def _euler_round(n: int, half: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Every other edge around one Euler circuit of each component of ``half``, whose degrees are even.
+    """Every other edge of ``euler_circuit``'s walk of each component of ``half``, whose degrees are even.
 
-    Hierholzer's walk starts at each component's lowest vertex and takes the
-    lowest unwalked edge; keeping the circuit's odd positions gives each
-    vertex half its edges, except the start of an odd circuit, one short.
+    From a walk w of m edges it keeps w[j]w[j+1] for j = m-2, m-4, ... >= 0,
+    which gives each vertex half its edges, except the start of an odd
+    circuit, one short.  Cost: the walk's, O(n + |E| log |E|).
     """
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, (u, v) in enumerate(half):
-        rows[u].append((v, j))
-        rows[v].append((u, j))
-    walked = [False] * len(half)
-    ptr = [0] * n
-    kept = []
-    for start in range(n):
-        stack, circuit = [(start, -1)], []  # circuit: edge ids in the order Hierholzer closes them, then -1
-        while stack:
-            x, j = stack[-1]
-            row, i = rows[x], ptr[x]
-            while i < len(row) and walked[row[i][1]]:
-                i += 1
-            ptr[x] = i
-            if i < len(row):
-                walked[row[i][1]] = True
-                stack.append(row[i])
-            else:
-                circuit.append(stack.pop()[1])
-        kept += (half[j] for j in circuit[1:-1:2])
-    return kept
+    return [edge(w[j], w[j + 1]) for w in euler_circuit(SimpleGraph(n, set(half)))
+            for j in range(len(w) - 3, -1, -2)]
 
 
 def _flow_start(n: int, k: int, edges: list[tuple[int, int]]) -> tuple[bool, list[tuple[int, int]]]:
@@ -289,9 +269,9 @@ def max_degree_bounded_subgraph(h: SimpleGraph, k: int) -> tuple[int, set[tuple[
 
     ``_flow_start`` gives a start of degree <= k; one blossom pass over
     Tutte's gadget grows it to a maximum, since an augmenting path the pass
-    misses never appears later.  Cost: O(|E|^1.5) for the flow, O(n + |E|)
-    for the rounding, and only if the start is short, O(|E| k) to build the
-    gadget plus one search per missing edge end.
+    misses never appears later.  Cost: O(|E|^1.5) for the flow,
+    O(n + |E| log |E|) for the rounding, and only if the start is short,
+    O(|E| k) to build the gadget plus one search per missing edge end.
     """
     if k <= 0 or not h.edges:
         return 0, set()

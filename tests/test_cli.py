@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from factorpack import replay_trace
+from factorpack import cli
 from factorpack.cli import _sweep_workers, run
 from factorpack.coloring import Color
 from factorpack.serialize import trace_from_dict
@@ -81,8 +82,13 @@ TWO_VERTEX_CERT = ('{"n": 2, "pi": [1, 1], "k": 0, "mode": "kundu", "one_factors
     (["conjecture", "--pi", "3,3,1,1,1", "--k", "1"], 1),  # the degree check comes first
     (["sweep", "--n", "5"], 3),  # odd n, as four-ones: checked before any task is built
     (["sweep", "--n", "3,4"], 3),
+    (["sweep", "--n", "10", "--workers", "0"], 5),  # checked before any task is built
 ])
 def test_exit_codes_at_the_input_boundary(argv, expected, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("sweep enumerated tasks for an input it rejects")
+
+    monkeypatch.setattr(cli, "enumerate_graphic", no_enumeration)  # no row here builds a sweep task
     if "<stdin>" in argv:
         i = argv.index("<stdin>")
         argv, stdin = argv[:i], argv[i + 1]

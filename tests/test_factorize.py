@@ -1,3 +1,6 @@
+import importlib.util
+import itertools
+
 import pytest
 
 from factorpack import (
@@ -13,14 +16,24 @@ from factorpack import (
     kundu_realize,
     merge_odd_cycle_pair,
     monotone_triple,
+    parallel_two_switch,
     peel_one_factor,
     petersen_two_factorize,
     replay_trace,
     verify_certificate,
 )
-from factorpack.coloring import BLACK, RESIDUAL, WHITE, make_colored_realization, one_factor, two_factor
+from factorpack.coloring import (
+    BLACK,
+    RESIDUAL,
+    WHITE,
+    DegreeSequence,
+    make_colored_realization,
+    one_factor,
+    two_factor,
+)
 from factorpack.errors import (
     EvenCycle,
+    InternalInvariantError,
     KTooSmall,
     NoResidual,
     NotEvenRegular,
@@ -235,6 +248,71 @@ def test_residual_merges_never_take_the_direct_bridge(monkeypatch):
         four_ones(ds, k)
     assert len(resolutions) > 100
     assert resolutions.count("bridge") == 0
+
+
+def _alternating_four_cycle(real, alpha, beta, avoid):
+    """Vertices a, b, c, d outside ``avoid`` with ab, cd colored alpha and bc, da colored beta, or None."""
+    outside = [x for x in range(real.n) if x not in avoid]
+    return next(((a, b, c, d) for a, b, c, d in itertools.permutations(outside, 4)
+                 if a < min(b, c, d) and real.color_of(a, b) is alpha and real.color_of(c, d) is alpha
+                 and real.color_of(b, c) is beta and real.color_of(d, a) is beta), None)
+
+
+@pytest.mark.parametrize("alpha,beta", [(RESIDUAL, BLACK), (BLACK, WHITE)])
+def test_merge_guard_fires_on_a_recoloring_away_from_its_two_cycles(monkeypatch, alpha, beta):
+    """A conserving two-switch with no endpoint in the pair, slipped into the switch step, is caught.
+
+    The black/white switch leaves the residual class alone, so only a check
+    of every recolored edge, not a snapshot of the work class, sees it.
+    """
+    import factorpack.factorize as factorize
+
+    pi, k = [9, 7, 7, 5, 5, 5, 4, 4, 3, 3, 2, 2], 2
+    switch = factorize._switch_residual_pair
+    strays = []
+
+    def switch_and_stray(real, c1, c2):
+        case = switch(real, c1, c2)
+        strays.append(_alternating_four_cycle(real, alpha, beta, set(c1) | set(c2)))
+        a, b, c, d = strays[-1]
+        parallel_two_switch(real, (a, b), (c, d), (b, c), (d, a))
+        return case
+
+    assert verify_certificate(pi, k, four_ones(pi, k)).passed
+    monkeypatch.setattr(factorize, "_switch_residual_pair", switch_and_stray)
+    with pytest.raises(InternalInvariantError, match="no endpoint in its two cycles"):
+        four_ones_realization(pi, k)
+    assert len(strays) == 1
+
+
+def test_traced_pack_regular_pass_reads_no_sorted_class_in_a_merge():
+    """At seed 1 the pass made 513 ``edges_of`` calls when each merge sorted its work class twice."""
+    import factorpack.factorize as factorize
+    from tests.test_bench_tracing import TRACING
+    from tests.test_realize import _perfbench_corpus
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for mode, pi, k in _perfbench_corpus().build("pack-regular", 1)[0]:
+            build = factorize.four_ones_realization if mode == "four-ones" else factorize.half_k_realization
+            factorize.certificate_from_realization(build(DegreeSequence.of(pi), k), mode, k)
+    finally:
+        tracer.restore()
+    names = [tracer.names[i] for i in tracer.name_id]
+    merges = names.count("factorize.merge_odd_cycle_pair")
+
+    def in_merge(i):
+        while i >= 0 and names[i] != "factorize.merge_odd_cycle_pair":
+            i = tracer.parent[i]
+        return i >= 0
+
+    reads = [i for i, name in enumerate(names) if name == "coloring.edges_of"]
+    assert merges == 109 and not any(in_merge(i) for i in reads)
+    assert len(reads) == 513 - 2 * merges
 
 
 def initial_coloring(real):
