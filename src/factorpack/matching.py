@@ -5,10 +5,10 @@ uncovered vertex sits on its own odd cycle whose remaining vertices are
 matched to cycle neighbours, alternating around the cycle, and the cycles of
 distinct uncovered vertices are vertex-disjoint.  ``lemma_odd_certificate``
 constructs that arrangement: it grows an alternating tree from each uncovered
-vertex, locates a non-matching edge between two even-level vertices (one must
-exist by a counting argument on regular graphs), closes the odd cycle at the
-last common tree vertex, and relocates the uncovered vertex onto the cycle by
-toggling the tree path.
+vertex up to its first blossom, a non-matching edge between two even-level
+vertices (one must exist by a counting argument on regular graphs), closes the
+odd cycle at the last common tree vertex, and relocates the uncovered vertex
+onto the cycle by toggling the tree path.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _maximize(adj: list[list[int]], match: list[int]) -> None:
     base = list(range(n))
     used = [False] * n
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and adj[v]:
             _augment_from(v, adj, match, p, base, used)
 
 
@@ -231,36 +231,33 @@ def _augment_from(root: int, adj: list[list[int]], match: list[int],
             used[x] = False
 
 
-def _alternating_tree(adj: list[list[int]], mate: dict[int, int], root: int):
-    """Grow the full alternating tree from an uncovered root, no contraction.
+def _first_odd_cycle(adj: list[list[int]], mate: dict[int, int], root: int):
+    """Grow the alternating tree from an uncovered root up to its first blossom.
 
-    Returns (parent, depth, outer).  Outer vertices are exactly the possible
-    new homes for the uncovered vertex under alternating-path toggles within
-    this tree.
+    Breadth first, without contraction, rows in ascending order: the tree
+    Edmonds' search grows before its first contraction.  Returns
+    (parent, x, y) for the first edge x-y that joins two outer vertices.
     """
     parent: dict[int, int] = {root: -1}
-    depth: dict[int, int] = {root: 0}
     outer: set[int] = {root}
-    inner: set[int] = set()
     q: deque[int] = deque([root])
     while q:
         x = q.popleft()
         for y in adj[x]:
-            if y in outer or y in inner:
+            if y in outer:
+                return parent, x, y
+            if y in parent:
                 continue
             if y not in mate:
                 raise InternalInvariantError(
                     f"augmenting path from {root} to uncovered {y}: matching was not maximum"
                 )
             z = mate[y]
-            inner.add(y)
             parent[y] = x
-            depth[y] = depth[x] + 1
-            outer.add(z)
             parent[z] = y
-            depth[z] = depth[x] + 2
+            outer.add(z)
             q.append(z)
-    return parent, depth, outer
+    raise InternalInvariantError(f"no odd cycle reachable from uncovered vertex {root} in a regular graph")
 
 
 def _tree_path(parent: dict[int, int], frm: int) -> list[int]:
@@ -272,47 +269,36 @@ def _tree_path(parent: dict[int, int], frm: int) -> list[int]:
 
 
 def lemma_odd_certificate(g: SimpleGraph, initial: Matching | None = None) -> OddCycleCertificate:
-    """Build the disjoint fully-matched-odd-cycle arrangement for a regular graph."""
+    """Build the disjoint fully-matched-odd-cycle arrangement for a regular graph.
+
+    Each uncovered vertex of one maximum matching, in ascending order, grows
+    its tree to the first blossom; the matching is toggled along the stem, so
+    the blossom's base becomes the uncovered vertex of that odd cycle.
+    """
     deg = g.degrees()
     if g.n == 0 or any(d != deg[0] for d in deg) or deg[0] < 1:
         raise NotRegular(f"graph degrees {sorted(set(deg))} are not r-regular with r >= 1")
-    adj = g.adjacency()
     m = maximum_matching(g, initial)
+    covered = m.covered
+    uncovered = [v for v in range(g.n) if v not in covered]
+    adj = g.adjacency() if uncovered else []
     cycles: dict[int, tuple[int, ...]] = {}
     claimed: set[int] = set()
-    while True:
-        mate = m.mate_map()
-        uncovered = [v for v in range(g.n) if v not in mate and v not in cycles]
-        if not uncovered:
-            break
-        v = uncovered[0]
-        parent, depth, outer = _alternating_tree(adj, mate, v)
+    for v in uncovered:
+        parent, x, y = _first_odd_cycle(adj, m.mate_map(), v)
         overlap = claimed.intersection(parent)
         if overlap:
             raise InternalInvariantError(
                 f"alternating tree from {v} entered finished cycles at {sorted(overlap)}"
             )
-        best = None
-        for x in sorted(outer):
-            for y in adj[x]:
-                if y <= x or y not in outer:
-                    continue
-                # last common tree vertex of the two root paths
-                px, py = _tree_path(parent, x), _tree_path(parent, y)
-                j = 0
-                while j < min(len(px), len(py)) and px[j] == py[j]:
-                    j += 1
-                z = px[j - 1]
-                cycle = tuple(px[j - 1:]) + tuple(reversed(py[j:]))
-                key = (depth[z], tuple(px[:j]), cycle)
-                if best is None or key < best[0]:
-                    best = (key, z, cycle)
-        if best is None:
-            raise InternalInvariantError(
-                f"no odd cycle reachable from uncovered vertex {v} in a regular graph"
-            )
-        _, z, cycle = best
-        m = toggle_alternating_path(m, _tree_path(parent, z))
+        # the cycle closes at z, the last common vertex of the two root paths
+        px, py = _tree_path(parent, x), _tree_path(parent, y)
+        j = 0
+        while j < min(len(px), len(py)) and px[j] == py[j]:
+            j += 1
+        z = px[j - 1]
+        cycle = tuple(px[j - 1:]) + tuple(reversed(py[j:]))
+        m = toggle_alternating_path(m, px[:j])
         cycles[z] = _canonical_cycle(cycle, z)
         claimed.update(cycle)
     return OddCycleCertificate(matching=m, cycles=cycles, graph=g)

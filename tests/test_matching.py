@@ -12,9 +12,10 @@ from factorpack import (
     toggle_alternating_path,
 )
 from factorpack.errors import InvalidInitial, NotAlternating, NotRegular, OddLengthPath
-from factorpack.matching import check_odd_cycle_certificate
+from factorpack.graphs import edge
+from factorpack.matching import OddCycleCertificate, _canonical_cycle, _tree_path, check_odd_cycle_certificate
 from tests.conftest import random_regular_graph
-from tests.test_realize import reference_gadget
+from tests.test_realize import _perfbench_corpus, reference_gadget
 
 
 def cycle_graph(n):
@@ -264,3 +265,138 @@ def test_lemma_odd_monotone_and_parity(rng):
         assert uncovered % 2 == n % 2
         assert check_odd_cycle_certificate(cert) == []
         assert cert.matching.size == bf_max_matching(g)[0]
+
+
+def reference_lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
+    """Reference: the lemma as it was before it stopped at the first blossom.
+
+    Each pass recomputes the uncovered vertices, grows the first one's full
+    alternating tree (breadth first, no contraction) and closes the cycle of
+    the outer-outer edge with the least (depth of z, root path to z, cycle)
+    key, z being the last common vertex of the two root paths.
+    """
+    adj = g.adjacency()
+    m = maximum_matching(g)
+    cycles: dict[int, tuple[int, ...]] = {}
+    while True:
+        mate = m.mate_map()
+        uncovered = [v for v in range(g.n) if v not in mate and v not in cycles]
+        if not uncovered:
+            return OddCycleCertificate(matching=m, cycles=cycles, graph=g)
+        root = uncovered[0]
+        parent, depth, outer = {root: -1}, {root: 0}, {root}
+        q = deque([root])
+        while q:
+            x = q.popleft()
+            for y in adj[x]:
+                if y not in parent:
+                    z = mate[y]
+                    parent[y], parent[z] = x, y
+                    depth[y], depth[z] = depth[x] + 1, depth[x] + 2
+                    outer.add(z)
+                    q.append(z)
+        best = None
+        for x in sorted(outer):
+            for y in adj[x]:
+                if y <= x or y not in outer:
+                    continue
+                px, py = _tree_path(parent, x), _tree_path(parent, y)
+                j = 0
+                while j < min(len(px), len(py)) and px[j] == py[j]:
+                    j += 1
+                z = px[j - 1]
+                cycle = tuple(px[j - 1:]) + tuple(reversed(py[j:]))
+                key = (depth[z], tuple(px[:j]), cycle)
+                if best is None or key < best[0]:
+                    best = (key, z, cycle)
+        _, z, cycle = best
+        m = toggle_alternating_path(m, _tree_path(parent, z))
+        cycles[z] = _canonical_cycle(cycle, z)
+
+
+def assert_lemma_matches_the_reference(g: SimpleGraph) -> int:
+    """The lemma's matching and cycles equal the reference's; returns the number of cycles."""
+    cert, ref = lemma_odd_certificate(g), reference_lemma_odd_certificate(g)
+    assert (cert.matching, cert.cycles) == (ref.matching, ref.cycles), (g.n, g.sorted_edges())
+    assert check_odd_cycle_certificate(cert) == []
+    return len(cert.cycles)
+
+
+def odd_cycle_union(rng: random.Random) -> SimpleGraph:
+    """Vertex-disjoint odd cycles on shuffled labels: every cycle leaves one vertex uncovered."""
+    sizes = [rng.randrange(3, 16, 2) for _ in range(rng.randint(1, 6))]
+    order = rng.sample(range(sum(sizes)), sum(sizes))
+    edges, start = set(), 0
+    for size in sizes:
+        ring = order[start:start + size]
+        edges |= {edge(ring[i], ring[i - 1]) for i in range(size)}
+        start += size
+    return SimpleGraph(len(order), edges)
+
+
+def test_lemma_matches_the_reference_on_odd_cycle_unions():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        assert assert_lemma_matches_the_reference(odd_cycle_union(rng)) > 0
+
+
+def test_lemma_matches_the_reference_on_the_residual_classes_a_bench_pass_peels(monkeypatch):
+    """Every residual class that a pack-regular and a dense-random pass peel at seed 1."""
+    import factorpack.factorize as factorize
+
+    graphs = []
+
+    def recording(g, initial=None):
+        graphs.append(g)
+        return lemma_odd_certificate(g, initial)
+
+    monkeypatch.setattr(factorize, "lemma_odd_certificate", recording)
+    corpus = _perfbench_corpus()
+    for workload in ("pack-regular", "dense-random"):
+        for mode, pi, k in corpus.build(workload, 1)[0]:
+            build = factorize.four_ones_realization if mode == "four-ones" else factorize.half_k_realization
+            build(pi, k)
+    with_cycles = sum(assert_lemma_matches_the_reference(g) > 0 for g in graphs)
+    assert len(graphs) > 200 and with_cycles >= 4
+
+
+def test_lemma_and_the_reference_certify_seeded_regular_graphs():
+    """Equal on every 2-regular graph, where each tree has one blossom; valid and maximum on all.
+
+    With r >= 3 a tree can hold several blossoms, and the first one the
+    search meets need not be the reference's least key: 29 of the 91 graphs
+    here that leave a vertex uncovered, all 4-regular on an odd n, differ.
+    """
+    rng = random.Random(20261019)
+    graphs = [random_regular_graph(rng, n, r) for _ in range(4) for n in range(6, 61, 3)
+              for r in range(2, 6) if n * r % 2 == 0 and r < n]
+    uncovered = 0
+    for g in graphs:
+        if g.degrees()[0] == 2:
+            assert_lemma_matches_the_reference(g)
+            continue
+        cert, ref = lemma_odd_certificate(g), reference_lemma_odd_certificate(g)
+        assert check_odd_cycle_certificate(cert) == check_odd_cycle_certificate(ref) == []
+        assert cert.matching.size == ref.matching.size
+        uncovered += bool(cert.cycles)
+    assert len(graphs) > 200 and uncovered > 20
+
+
+# A 4-regular graph on 21 vertices whose uncovered vertex 20 reaches a 5-cycle
+# blossom first, while the reference's least key is a 7-cycle through it.
+FIRST_BLOSSOM_DIFFERS = SimpleGraph.from_edges(21, [
+    (0, 1), (0, 15), (0, 18), (0, 20), (1, 4), (1, 9), (1, 10), (2, 5), (2, 6), (2, 13), (2, 16),
+    (3, 5), (3, 10), (3, 14), (3, 20), (4, 5), (4, 12), (4, 17), (5, 8), (6, 13), (6, 15), (6, 16),
+    (7, 9), (7, 14), (7, 17), (7, 20), (8, 15), (8, 17), (8, 18), (9, 12), (9, 16), (10, 11),
+    (10, 19), (11, 12), (11, 14), (11, 18), (12, 18), (13, 19), (13, 20), (14, 19), (15, 16),
+    (17, 19),
+])
+
+
+def test_lemma_closes_the_first_blossom_where_the_reference_takes_another():
+    cert = lemma_odd_certificate(FIRST_BLOSSOM_DIFFERS)
+    ref = reference_lemma_odd_certificate(FIRST_BLOSSOM_DIFFERS)
+    assert cert.cycles == {20: (20, 0, 1, 9, 7)}
+    assert ref.cycles == {20: (20, 0, 1, 4, 17, 19, 13)}
+    assert check_odd_cycle_certificate(cert) == check_odd_cycle_certificate(ref) == []
+    assert cert.matching.size == ref.matching.size == 10
