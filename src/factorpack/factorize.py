@@ -113,9 +113,9 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
 
     ``work`` holds the cycles and the matching: RESIDUAL when peeling, BLACK
     when converting a 2-factor recolored black; it picks the switch strategy.
-    Cycles other than c1 and c2 are never touched: every edge recolored by
-    the trace batches the merge appends must have an endpoint in c1 or c2.
-    ``case`` is the CrossEdgeCase that produced the bridge between them.
+    The merge recolors only edges with an endpoint in c1 or c2 and matches the
+    pair among their cycle edges, those recolored edges and the bridge ("Why the
+    two cycles suffice", docs/merge-cases.md).  ``case`` produced the bridge.
     """
     if work not in (RESIDUAL, BLACK):
         raise PreconditionViolated(f"odd cycles must lie in {RESIDUAL} or {BLACK}, not {work}")
@@ -123,10 +123,10 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
     for cyc in (c1, c2):
         if len(cyc) % 2 == 0 or len(cyc) < 3:
             raise PreconditionViolated(f"{cyc} is not an odd cycle")
-        for i in range(len(cyc)):
-            e = edge(cyc[i], cyc[(i + 1) % len(cyc)])
-            if real.color_of(*e) != work:
-                raise PreconditionViolated(f"cycle edge {e} has color {real.color_of(*e)}, not {work}")
+    cycle_edges = [edge(cyc[i], cyc[(i + 1) % len(cyc)]) for cyc in (c1, c2) for i in range(len(cyc))]
+    for e in cycle_edges:
+        if real.color_of(*e) != work:
+            raise PreconditionViolated(f"cycle edge {e} has color {real.color_of(*e)}, not {work}")
     vs = set(c1) | set(c2)
     if len(vs) != len(c1) + len(c2):
         raise PreconditionViolated("cycles share vertices")
@@ -143,10 +143,12 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
     else:
         case = _switch_temp_black_pair(real, c1, c2)
 
-    if any(vs.isdisjoint(e) for batch in real.trace.batches[first_batch:] for (e, _, _) in batch.changes):
+    moved = {e: new for batch in real.trace.batches[first_batch:] for (e, _, new) in batch.changes}
+    if any(vs.isdisjoint(e) for e in moved):
         raise InternalInvariantError("a merge recolored an edge with no endpoint in its two cycles")
 
-    sub_edges = {e for e in real.class_graph(work).edges if e[0] in vs and e[1] in vs}
+    sub_edges = {e for e in cycle_edges + cross[:1] if e not in moved}
+    sub_edges.update(e for e, c in moved.items() if c is work and vs.issuperset(e))
     sub = maximum_matching(SimpleGraph(real.n, sub_edges))
     if sub.covered != frozenset(vs):
         raise ChainStuck(

@@ -313,6 +313,54 @@ def test_traced_pack_regular_pass_reads_no_sorted_class_in_a_merge():
     reads = [i for i, name in enumerate(names) if name == "coloring.edges_of"]
     assert merges == 109 and not any(in_merge(i) for i in reads)
     assert len(reads) == 513 - 2 * merges
+    copies = [i for i, name in enumerate(names) if name == "coloring.class_graph"]
+    assert copies and not any(in_merge(i) for i in copies)
+
+
+def test_a_merge_matches_only_its_cycles_its_moved_edges_and_its_bridge(monkeypatch):
+    """Every merge of every sweep task with n <= 8, both modes; see "Why the two cycles suffice".
+
+    All of those are residual switch merges: no 2-factor conversion at n <= 8
+    has odd cycles.  Two larger half-k inputs add a black bridge and a black switch.
+    """
+    import factorpack.factorize as factorize
+    from tests.test_acceptance import SWEEP_SIZES, sweep_instances
+
+    merge, matcher = factorize.merge_odd_cycle_pair, factorize.maximum_matching
+    searched, resolutions = [], []
+
+    def spying_matcher(g, initial=None):
+        searched.append(g)
+        return matcher(g, initial)
+
+    def recording(real, matching, c1, c2, work):
+        first_batch = len(real.trace.batches)
+        monkeypatch.setattr(factorize, "maximum_matching", spying_matcher)
+        try:
+            result = merge(real, matching, c1, c2, work)
+        finally:
+            monkeypatch.setattr(factorize, "maximum_matching", matcher)
+        (g,) = searched
+        searched.clear()
+        allowed = {edge(c[i], c[i - 1]) for c in (c1, c2) for i in range(len(c))}
+        allowed |= {e for batch in real.trace.batches[first_batch:] for (e, _, _) in batch.changes}
+        case = result[2]
+        if case.resolution == "bridge":
+            allowed.add(case.edges[0])
+        assert g.edges <= allowed, (c1, c2, sorted(g.edges - allowed))
+        assert set(c1) | set(c2) <= result[1].covered
+        resolutions.append(case.resolution)
+        return result
+
+    monkeypatch.setattr(factorize, "merge_odd_cycle_pair", recording)
+    for ds, k in sweep_instances(SWEEP_SIZES):
+        four_ones(ds, k)
+        if k >= 4:
+            half_k(ds, k)
+    half_k([10] * 12, 10)
+    half_k([6] * 18, 6)
+    assert len(resolutions) > 100
+    assert {"white-e1", "white-e4", "black-e1", "bridge", "black-switch"} <= set(resolutions)
 
 
 def initial_coloring(real):

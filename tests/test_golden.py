@@ -24,7 +24,9 @@ them and whose bytes moved were re-recorded: ``kundu-exhaustive``,
 ``four-ones-unsorted-text``, ``half-k-7x6-6x2-k5`` and
 ``half-k-40-gadget-k10-text``, and the ``sweep-4-6-report`` summary and CSV.
 ``four-ones-deficit`` is an input whose rounding leaves deficits for the
-gadget.
+gadget.  ``half-k-40-gadget-k10-text`` was re-recorded again when a merge
+began to match only its two cycles, the edges it recolored and its bridge,
+rather than all of its work class inside the pair.
 
 To re-record after a deliberate output change, from the repository root:
 ``PYTHONPATH=src python -m tests.test_golden NAME ...`` rewrites only the
