@@ -5,7 +5,7 @@ uncovered vertex sits on its own odd cycle whose remaining vertices are
 matched to cycle neighbours, alternating around the cycle, and the cycles of
 distinct uncovered vertices are vertex-disjoint.  ``lemma_odd_certificate``
 constructs that arrangement: it grows an alternating tree from each uncovered
-vertex up to its first blossom, a non-matching edge between two even-level
+vertex until the first blossom, a non-matching edge between two even-level
 vertices (one must exist by a counting argument on regular graphs), closes the
 odd cycle at the last common tree vertex, and relocates the uncovered vertex
 onto the cycle by toggling the tree path.
