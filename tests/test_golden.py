@@ -26,7 +26,9 @@ them and whose bytes moved were re-recorded: ``kundu-exhaustive``,
 ``four-ones-deficit`` is an input whose rounding leaves deficits for the
 gadget.  ``half-k-40-gadget-k10-text`` was re-recorded again when a merge
 began to match only its two cycles, the edges it recolored and its bridge,
-rather than all of its work class inside the pair.
+rather than all of its work class inside the pair.  ``DIGESTS_AT_SCALE`` pins
+the sha256 of three n=256 certificates, in-process rather than through the
+CLI, whose bytes would be megabytes each.
 
 To re-record after a deliberate output change, from the repository root:
 ``PYTHONPATH=src python -m tests.test_golden NAME ...`` rewrites only the
@@ -36,14 +38,18 @@ name it rewrites every case.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from factorpack import four_ones, half_k, verify_certificate
 from factorpack.cli import run
+from factorpack.serialize import certificate_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -194,6 +200,37 @@ def test_golden_output(name, argv, expected_code, tmp_path):
     if name in SIDE_FILES:
         placeholder, filename = SIDE_FILES[name]
         assert side[placeholder] == (GOLDEN / filename).read_bytes().decode("utf-8")
+
+
+def gnp_degrees(n: int, seed: int) -> list[int]:
+    """Degrees of G(n, 1/2): each pair u < v, in order, is an edge when ``rng.random() < 0.5``."""
+    rng = random.Random(seed)
+    degrees = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.5:
+                degrees[u] += 1
+                degrees[v] += 1
+    return degrees
+
+
+# sha256 of certificate_to_json at n=256, pinned before refactors of the pack path.
+DIGESTS_AT_SCALE = [
+    ("four-ones-64x256-k64", four_ones, [64] * 256,
+     "86ee9e7090fe6789343c9c0fdd6812961b622868c8328ec6ab7dd18c8a352464"),
+    ("half-k-64x256-k64", half_k, [64] * 256,
+     "bb57dd86a5ed69cf332c73bff46742d2fd6c2ef4dc2c0cd7fc59c45a0fed78f2"),
+    ("half-k-gnp256-k64", half_k, gnp_degrees(256, 1),
+     "a560efe8a4765512b6d80088f752b95fd7830b79f39c8b9315018033a53a7516"),
+]
+
+
+@pytest.mark.parametrize("build,pi,digest", [c[1:] for c in DIGESTS_AT_SCALE],
+                         ids=[c[0] for c in DIGESTS_AT_SCALE])
+def test_certificate_digest_at_n256(build, pi, digest):
+    cert = build(pi, 64)
+    assert verify_certificate(pi, 64, cert).passed
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 
 
 def test_record_rewrites_only_the_named_cases(tmp_path, monkeypatch):
