@@ -25,8 +25,8 @@ real, report = multi_switch(real, u=1, v=5, w=4, mode=WHITE)
 for i, (x, y) in enumerate(report.chain, start=1):
     print(f"  link {i}: x={x[0]} ({x[1]})   y={y[0]} ({y[1]})")
 print("  swapped links:", report.swapped_indices)
-print("  physical recolorings:")
-for (e, old, new) in report.applied:
+print("  physical recolorings, the trace's last batch:")
+for (e, old, new) in real.trace.batches[-1].changes:
     print(f"    {e}: {old} -> {new}")
 
 print()

@@ -163,13 +163,13 @@ class ColoredRealization:
     """K_n's pairs colored by ``classes``, each non-white color's edges (disjoint, u < v), and white."""
 
     def __init__(self, n: int, classes: dict[Color, Iterable[tuple[int, int]]],
-                 declared: dict[Color, int], trace: SwitchTrace | None = None):
+                 declared: dict[Color, int]):
         if n < 1:
             raise ValueError("need at least one vertex")
         self.n = n
         self._colors = colors = [WHITE] * (n * (n - 1) // 2)
         self.declared = dict(declared)
-        self.trace = trace if trace is not None else SwitchTrace()
+        self.trace = SwitchTrace()
         self._counts: list[dict[Color, int]] = [dict() for _ in range(n)]
         # Edge set of every class except white; apply_swap_batch keeps it current.
         self._edges: dict[Color, set[tuple[int, int]]] = {}
@@ -199,10 +199,6 @@ class ColoredRealization:
         e = self._checked_edge(u, v)
         return self._colors[_pair_index(self.n, e[0], e[1])]
 
-    def color_degree(self, v: int, c: Color) -> int:
-        """Number of edges of color c incident to v."""
-        return self._counts[v].get(c, 0)
-
     def edges_of(self, c: Color) -> list[tuple[int, int]]:
         """Edges of color c, ascending.
 
@@ -224,10 +220,6 @@ class ColoredRealization:
         first = _pair_index(n, v, v + 1)  # pairs (v, v + 1) .. (v, n - 1) are contiguous
         out.extend(w for w, color in enumerate(colors[first:first + n - v - 1], v + 1) if color is c)
         return out
-
-    @property
-    def pi(self) -> DegreeSequence:
-        return DegreeSequence.of(self.degrees)
 
     def coloring_map(self) -> dict[tuple[int, int], Color]:
         return dict(zip(all_pairs(self.n), self._colors))

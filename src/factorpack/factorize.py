@@ -68,7 +68,6 @@ class CrossEdgeCase:
     """Resolution of the four cross edges between two monotone triples."""
 
     edges: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]
-    colors: tuple[Color, Color, Color, Color]
     resolution: str  # "bridge" | "white-e<i>" | "black-e<i>" | "parallel-e1e4" | "parallel-e2e3"
 
 
@@ -135,9 +134,9 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
             raise PreconditionViolated(f"matching edge ({a}, {b}) straddles the cycle pair")
 
     first_batch = len(real.trace.batches)
-    cross = sorted(edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) is work)
-    if cross:
-        case = CrossEdgeCase(edges=(cross[0],) * 4, colors=(work,) * 4, resolution="bridge")
+    bridge = min((edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) is work), default=None)
+    if bridge is not None:
+        case = CrossEdgeCase(edges=(bridge,) * 4, resolution="bridge")
     elif work == RESIDUAL:
         case = _switch_residual_pair(real, c1, c2)
     else:
@@ -147,7 +146,9 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
     if any(vs.isdisjoint(e) for e in moved):
         raise InternalInvariantError("a merge recolored an edge with no endpoint in its two cycles")
 
-    sub_edges = {e for e in cycle_edges + cross[:1] if e not in moved}
+    sub_edges = {e for e in cycle_edges if e not in moved}
+    if bridge is not None:  # a bridging merge switches nothing, so nothing moved
+        sub_edges.add(bridge)
     sub_edges.update(e for e, c in moved.items() if c is work and vs.issuperset(e))
     sub = maximum_matching(SimpleGraph(real.n, sub_edges))
     if sub.covered != frozenset(vs):
@@ -189,7 +190,7 @@ def _switch_residual_pair(real: ColoredRealization, c1, c2) -> CrossEdgeCase:
                 z3 = _cycle_edge_at(t1.cycle, vv, {u1, u2})
                 z2 = _cycle_edge_at(t2.cycle, b, {v2, v3} - {b})
             multi_switch(real, uu, vv, ww, mode, z3_hint=z3, z2_hint=z2)
-            return CrossEdgeCase(quad, colors, f"{mode.kind}-e{pos + 1}")
+            return CrossEdgeCase(quad, f"{mode.kind}-e{pos + 1}")
 
     if not all(c.kind == "one" for c in colors):
         raise CaseAnalysisExhausted(
@@ -203,7 +204,7 @@ def _switch_residual_pair(real: ColoredRealization, c1, c2) -> CrossEdgeCase:
             f"four 1-factor cross edges {[str(c) for c in colors]} with no parallel pair; "
             "unreachable with at most three 1-factors")
     parallel_two_switch(real, pair[0], pair[1], edge(u1, u2), edge(v2, v3))
-    return CrossEdgeCase(quad, colors, name)
+    return CrossEdgeCase(quad, name)
 
 
 def _switch_temp_black_pair(real: ColoredRealization, c1, c2) -> CrossEdgeCase:
@@ -216,7 +217,7 @@ def _switch_temp_black_pair(real: ColoredRealization, c1, c2) -> CrossEdgeCase:
     ww = min(_cycle_neighbors(tuple(ca), uu))
     x1 = edge(uu, ww)
     multi_switch(real, uu, vv, ww, BLACK)
-    return CrossEdgeCase((x1,) * 4, (BLACK,) * 4, "black-switch")
+    return CrossEdgeCase((x1,) * 4, "black-switch")
 
 
 def peel_one_factor(real: ColoredRealization) -> ColoredRealization:

@@ -35,9 +35,6 @@ class SimpleGraph:
     def from_edges(cls, n: int, edges) -> "SimpleGraph":
         return cls(n, {edge(u, v) for (u, v) in edges})
 
-    def copy(self) -> "SimpleGraph":
-        return SimpleGraph(self.n, set(self.edges))
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for (u, v) in self.edges:
@@ -53,9 +50,6 @@ class SimpleGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degrees(), reverse=True))
 
     def complement(self) -> "SimpleGraph":
         return SimpleGraph(self.n, {p for p in all_pairs(self.n) if p not in self.edges})

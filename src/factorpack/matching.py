@@ -107,18 +107,10 @@ def toggle_alternating_path(m: Matching, path) -> Matching:
     return Matching.from_edges(edges)
 
 
-def maximum_matching(g: SimpleGraph, initial: Matching | None = None) -> Matching:
+def maximum_matching(g: SimpleGraph) -> Matching:
     """Maximum matching via alternating search with odd-cycle contraction."""
     n = g.n
     match = [-1] * n
-    if initial is not None:
-        for (u, v) in initial.edges:
-            if (u, v) not in g.edges:
-                raise InvalidInitial(f"initial edge ({u}, {v}) is not in the graph")
-            if match[u] != -1 or match[v] != -1:
-                raise InvalidInitial(f"initial matching reuses a vertex on ({u}, {v})")
-            match[u] = v
-            match[v] = u
     _maximize(g.adjacency(), match)
     return Matching.from_edges((v, match[v]) for v in range(n) if match[v] > v)
 
@@ -268,7 +260,7 @@ def _tree_path(parent: dict[int, int], frm: int) -> list[int]:
     return out
 
 
-def lemma_odd_certificate(g: SimpleGraph, initial: Matching | None = None) -> OddCycleCertificate:
+def lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
     """Build the disjoint fully-matched-odd-cycle arrangement for a regular graph.
 
     Each uncovered vertex of one maximum matching, in ascending order, grows
@@ -278,7 +270,7 @@ def lemma_odd_certificate(g: SimpleGraph, initial: Matching | None = None) -> Od
     deg = g.degrees()
     if g.n == 0 or any(d != deg[0] for d in deg) or deg[0] < 1:
         raise NotRegular(f"graph degrees {sorted(set(deg))} are not r-regular with r >= 1")
-    m = maximum_matching(g, initial)
+    m = maximum_matching(g)
     covered = m.covered
     uncovered = [v for v in range(g.n) if v not in covered]
     adj = g.adjacency() if uncovered else []

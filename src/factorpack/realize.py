@@ -117,7 +117,7 @@ def havel_hakimi_realize(seq) -> SimpleGraph:
 def switch_randomize(g: SimpleGraph, steps: int, seed: int) -> SimpleGraph:
     """Apply up to `steps` random degree-preserving two-switches; seed-deterministic."""
     rng = random.Random(seed)
-    out = g.copy()
+    out = SimpleGraph(g.n, set(g.edges))
     edges = sorted(out.edges)
     for _ in range(steps):
         if len(edges) < 2:

@@ -33,18 +33,14 @@ from .graphs import edge
 
 @dataclass(frozen=True)
 class MultiSwitchReport:
-    """Audit record of one multi-switch application (colors are pre-switch)."""
+    """Audit record of one multi-switch (colors are pre-switch); its recolorings are the trace's last batch."""
 
     chain: tuple[tuple[tuple[tuple[int, int], Color], tuple[tuple[int, int], Color]], ...]
     midpoints: tuple[int, ...]
     swapped_indices: tuple[int, ...]  # 1-based chain positions in the applied swap set
     z1: tuple[int, int]
-    z2: tuple[int, int] | None
-    z3: tuple[int, int] | None
     z3_appeared_at: int | None  # 1-based chain position where z3 showed up as the v-side edge
     consumed: str | None  # which of z1/z2 participates in the swap set
-    terminal_color: Color
-    applied: tuple[tuple[tuple[int, int], Color, Color], ...]  # physical recolorings
 
 
 def multi_switch(real: ColoredRealization, u: int, v: int, w: int, mode: Color,
@@ -145,12 +141,8 @@ def multi_switch(real: ColoredRealization, u: int, v: int, w: int, mode: Color,
         midpoints=tuple(mids),
         swapped_indices=tuple(swapped),
         z1=xs[1],
-        z2=z2_hint,
-        z3=z3_hint,
         z3_appeared_at=z3_at,
         consumed="z1" if z3_at is None else ("z2" if z2_hint is not None else None),
-        terminal_color=mode,
-        applied=tuple((e, real.color_of(*e), new) for (e, new) in batch),
     )
     real.apply_swap_batch(
         batch,

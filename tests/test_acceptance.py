@@ -123,7 +123,7 @@ def test_criterion_3_multi_switch_conservation():
                 violations.append(("z3-touched", cfg))
             if z2 is not None:
                 z_pair_cases += 1
-                recolored = {e for (e, _, _) in report.applied}
+                recolored = {e for (e, _, _) in real.trace.batches[-1].changes}
                 if report.consumed not in ("z1", "z2") or {report.z1, z2} <= recolored:
                     violations.append(("z1-z2", cfg))
             mode_counts[mode.kind] += 1

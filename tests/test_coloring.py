@@ -37,7 +37,6 @@ from tests.test_factorize import initial_coloring
 def test_single_edge_realization():
     real = make_colored_realization(2, [((0, 1), BLACK)], {})
     assert real.degrees == (1, 1)
-    assert real.pi.degrees == (1, 1)
 
 
 def test_one_vertex_has_an_empty_coloring():
@@ -54,8 +53,8 @@ def test_triangle_as_residual():
     real = make_colored_realization(3, [((0, 1), RESIDUAL), ((0, 2), RESIDUAL), ((1, 2), RESIDUAL)],
                                     {RESIDUAL: 2})
     assert real.degrees == (2, 2, 2)
-    assert real.color_degree(0, RESIDUAL) == 2
-    assert real.color_degree(0, WHITE) == 0
+    assert real.colored_neighbors(0, RESIDUAL) == [1, 2]
+    assert real.colored_neighbors(0, WHITE) == []
 
 
 def test_matching_class_on_k4():
@@ -69,7 +68,7 @@ def test_k4_with_black_rest_color_degree():
     c = one_factor(0)
     asg = [((0, 1), c), ((2, 3), c)] + [(e, BLACK) for e in [(0, 2), (0, 3), (1, 2), (1, 3)]]
     real = make_colored_realization(4, asg, {c: 1})
-    assert real.color_degree(0, BLACK) == 2
+    assert len(real.colored_neighbors(0, BLACK)) == 2
 
 
 def test_missing_and_duplicate_edges():
@@ -144,7 +143,7 @@ def test_empty_batch_is_identity():
 def test_partition_totality():
     real, _ = _four_vertex_instance()
     for v in range(real.n):
-        total = sum(real.color_degree(v, Color.parse(s)) for s in ("white", "black", "one:0"))
+        total = sum(real._counts[v].get(Color.parse(s), 0) for s in ("white", "black", "one:0"))
         assert total == real.n - 1
 
 
@@ -159,7 +158,7 @@ def test_trace_replay_reproduces_final_coloring():
 def test_white_consistency_invariant():
     real, _ = _four_vertex_instance()
     for v in range(real.n):
-        assert real.color_degree(v, WHITE) == real.n - 1 - real.degrees[v]
+        assert real._counts[v].get(WHITE, 0) == real.n - 1 - real.degrees[v]
 
 
 def test_out_of_range_edge_is_rejected_before_any_change():

@@ -250,6 +250,40 @@ def test_residual_merges_never_take_the_direct_bridge(monkeypatch):
     assert resolutions.count("bridge") == 0
 
 
+# The first instance of each case-table row in a scan of every
+# ``corpus.sweep_tasks(n)`` task for n = 4-10, in both modes.  No task there
+# reaches black-e4, parallel-e1e4 or parallel-e2e3 (docs/merge-cases.md).
+CASE_ROW_INSTANCES = [
+    ("white-e1", RESIDUAL, "four-ones", [2] * 6, 2),
+    ("white-e2", RESIDUAL, "four-ones", [5, 4, 3, 3, 3, 2], 2),
+    ("white-e3", RESIDUAL, "four-ones", [5, 5, 3, 3, 3, 3], 2),
+    ("white-e4", RESIDUAL, "four-ones", [5, 5, 4, 4, 4, 2, 2, 2], 2),
+    ("black-e1", RESIDUAL, "four-ones", [5, 5, 5, 5, 5, 3, 2, 2], 2),
+    ("black-e2", RESIDUAL, "four-ones", [8, 8, 8, 8, 8, 8, 7, 7, 6, 4], 4),
+    ("black-e3", RESIDUAL, "four-ones", [8, 8, 8, 6, 6, 6, 6, 4, 4, 4], 4),
+    ("bridge", BLACK, "half-k", [6, 6, 6, 6, 5, 5, 5, 5, 5, 5], 5),
+    ("black-switch", BLACK, "half-k", [6, 6, 5, 5, 5, 5, 5, 5, 5, 5], 5),
+]
+
+
+@pytest.mark.parametrize("row,work,mode,pi,k", CASE_ROW_INSTANCES, ids=[r[0] for r in CASE_ROW_INSTANCES])
+def test_pipeline_reaches_case_table_row(monkeypatch, row, work, mode, pi, k):
+    import factorpack.factorize as factorize
+
+    merge = factorize.merge_odd_cycle_pair
+    merges = []
+
+    def recording(real, matching, c1, c2, w):
+        result = merge(real, matching, c1, c2, w)
+        merges.append((w, result[2].resolution))
+        return result
+
+    monkeypatch.setattr(factorize, "merge_odd_cycle_pair", recording)
+    cert = (four_ones if mode == "four-ones" else half_k)(pi, k)
+    assert (work, row) in merges, merges
+    assert verify_certificate(pi, k, cert).passed
+
+
 def _alternating_four_cycle(real, alpha, beta, avoid):
     """Vertices a, b, c, d outside ``avoid`` with ab, cd colored alpha and bc, da colored beta, or None."""
     outside = [x for x in range(real.n) if x not in avoid]
@@ -329,9 +363,9 @@ def test_a_merge_matches_only_its_cycles_its_moved_edges_and_its_bridge(monkeypa
     merge, matcher = factorize.merge_odd_cycle_pair, factorize.maximum_matching
     searched, resolutions = [], []
 
-    def spying_matcher(g, initial=None):
+    def spying_matcher(g):
         searched.append(g)
-        return matcher(g, initial)
+        return matcher(g)
 
     def recording(real, matching, c1, c2, work):
         first_batch = len(real.trace.batches)
@@ -557,7 +591,7 @@ def test_convert_leaves_other_two_factors_unchanged():
     convert_two_factor(real, two_factor(0))
     assert two_factor(0) not in real.declared
     assert real.declared[two_factor(1)] == 2
-    assert all(real.color_degree(v, two_factor(1)) == 2 for v in range(6))
+    assert all(len(real.colored_neighbors(v, two_factor(1))) == 2 for v in range(6))
     assert set(real.edges_of(two_factor(1))) == old_high
 
 

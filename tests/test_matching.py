@@ -13,7 +13,13 @@ from factorpack import (
 )
 from factorpack.errors import InvalidInitial, NotAlternating, NotRegular, OddLengthPath
 from factorpack.graphs import edge
-from factorpack.matching import OddCycleCertificate, _canonical_cycle, _tree_path, check_odd_cycle_certificate
+from factorpack.matching import (
+    OddCycleCertificate,
+    _canonical_cycle,
+    _maximize,
+    _tree_path,
+    check_odd_cycle_certificate,
+)
 from tests.conftest import random_regular_graph
 from tests.test_realize import _perfbench_corpus, reference_gadget
 
@@ -71,13 +77,23 @@ def test_maximum_matching_small_cases():
     assert maximum_matching(PETERSEN).size == 5
 
 
+def warm_matching(g, start):
+    """``_maximize`` grown from the matching ``start``, as the gadget search runs it."""
+    match = [-1] * g.n
+    for (u, v) in start.edges:
+        match[u], match[v] = v, u
+    _maximize(g.adjacency(), match)
+    return Matching.from_edges((v, match[v]) for v in range(g.n) if match[v] > v)
+
+
 def test_maximum_matching_respects_initial():
     g = cycle_graph(6)
     init = Matching.from_edges([(1, 2)])
-    out = maximum_matching(g, init)
+    out = warm_matching(g, init)
     assert out.size == 3
+    assert out.edges == reference_maximum_matching(g, init).edges
     with pytest.raises(InvalidInitial):
-        maximum_matching(g, Matching.from_edges([(0, 2)]))
+        Matching.from_edges([(0, 1), (1, 2)])
 
 
 def test_maximum_matching_agrees_with_brute_force_randomized(rng):
@@ -198,7 +214,7 @@ def gadgets_of(h, k):
 
 
 def test_maximum_matching_same_edges_as_reference():
-    """Same edge set as the reference, with and without a starting matching."""
+    """Same edge set as the reference, cold and warm-started from a partial matching."""
     rng = random.Random(20261018)
     plain = [PETERSEN, two_triangles()]
     plain += [gnp(rng, n, p) for n in (5, 9, 16, 25, 40, 60) for p in (2.0 / n, 0.1, 0.3, 0.5, 0.8)]
@@ -208,9 +224,9 @@ def test_maximum_matching_same_edges_as_reference():
         h = gnp(rng, n, p)
         cases += gadgets_of(h, k) + gadgets_of(h.complement(), k)
     for g, initial in cases:
-        for start in (None, initial):
-            expected = reference_maximum_matching(g, start)
-            assert maximum_matching(g, start).edges == expected.edges, (g.n, sorted(g.edges), start)
+        assert maximum_matching(g).edges == reference_maximum_matching(g).edges, (g.n, sorted(g.edges))
+        expected = reference_maximum_matching(g, initial)
+        assert warm_matching(g, initial).edges == expected.edges, (g.n, sorted(g.edges), initial)
 
 
 def test_maximum_matching_size_agrees_with_networkx():
@@ -258,9 +274,7 @@ def test_lemma_odd_monotone_and_parity(rng):
     for _ in range(40):
         n, r = rng.choice([(8, 3), (9, 4), (10, 3), (7, 4)])
         g = random_regular_graph(rng, n, r)
-        init = Matching.from_edges([min(g.sorted_edges())])
-        cert = lemma_odd_certificate(g, initial=init)
-        assert cert.matching.size >= init.size
+        cert = lemma_odd_certificate(g)
         uncovered = n - 2 * cert.matching.size
         assert uncovered % 2 == n % 2
         assert check_odd_cycle_certificate(cert) == []
@@ -346,9 +360,9 @@ def test_lemma_matches_the_reference_on_the_residual_classes_a_bench_pass_peels(
 
     graphs = []
 
-    def recording(g, initial=None):
+    def recording(g):
         graphs.append(g)
-        return lemma_odd_certificate(g, initial)
+        return lemma_odd_certificate(g)
 
     monkeypatch.setattr(factorize, "lemma_odd_certificate", recording)
     corpus = _perfbench_corpus()

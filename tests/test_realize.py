@@ -118,7 +118,7 @@ def test_havel_hakimi_examples():
     assert havel_hakimi_realize([1, 1]).sorted_edges() == [(0, 1)]
     assert havel_hakimi_realize([2, 2, 2]).sorted_edges() == [(0, 1), (0, 2), (1, 2)]
     g = havel_hakimi_realize([3, 3, 2, 2, 1, 1])
-    assert g.degree_sequence() == (3, 3, 2, 2, 1, 1)
+    assert g.degrees() == [3, 3, 2, 2, 1, 1]
 
 
 def test_havel_hakimi_rejects_non_graphic():
@@ -202,7 +202,7 @@ def test_switch_randomize_identity_and_triangle():
 def test_switch_randomize_c6_stays_two_regular():
     c6 = SimpleGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     out = switch_randomize(c6, 1000, seed=11)
-    assert out.degree_sequence() == (2, 2, 2, 2, 2, 2)
+    assert out.degrees() == [2] * 6
 
 
 def test_switch_randomize_preserves_degrees_many_trials():
@@ -213,7 +213,8 @@ def test_switch_randomize_preserves_degrees_many_trials():
         seq = sequences[trial % len(sequences)]
         g = havel_hakimi_realize(seq)
         out = switch_randomize(g, 15, seed=rng.randrange(1 << 30))
-        assert out.degree_sequence() == tuple(sorted(seq, reverse=True))
+        assert out.degrees() == g.degrees()
+        assert sorted(out.degrees(), reverse=True) == sorted(seq, reverse=True)
         assert len(out.edges) == len(g.edges)
 
 

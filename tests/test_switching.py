@@ -47,7 +47,7 @@ def test_multi_switch_merges_two_triangles_into_six_cycle():
     real, report = multi_switch(real, 1, 5, 4, WHITE)
     cycles = cycles_of_two_regular(6, set(real.edges_of(RESIDUAL)))
     assert cycles == [(0, 2, 1, 4, 3, 5)]
-    assert report.terminal_color == WHITE
+    assert report.chain[-1][1][1] is WHITE
     assert real.class_graph(RESIDUAL).degrees() == [2] * 6
 
 
@@ -113,7 +113,7 @@ def test_multi_switch_vacuous_pair_keeps_z1_color():
     assert real.color_of(0, 1) == RESIDUAL
     assert real.color_of(0, 3) == RESIDUAL  # z2 skipped
     assert real.color_of(3, 4) == RESIDUAL  # z3 untouched
-    applied_edges = {e for (e, _, _) in report.applied}
+    applied_edges = {e for (e, _, _) in real.trace.batches[-1].changes}
     assert applied_edges == {(0, 5), (4, 5), (0, 2), (2, 4)}
     assert recount_colors(real) == before
     assert real.class_graph(RESIDUAL).degrees() == [3] * 6
@@ -206,7 +206,7 @@ def check_switch_postconditions(real, before_counts, before_map, u, v, w, mode, 
         z1 = report.z1
         participates = {name for name, e in (("z1", z1), ("z2", z2)) if report.consumed == name}
         assert len(participates) == 1
-        recolored = {e for (e, old, new) in report.applied}
+        recolored = {e for (e, old, new) in real.trace.batches[-1].changes}
         assert not ({z1, z2} <= recolored)  # never both
     # exactly one mode-colored edge at u and at v changed
     u_mode = [e for e, old in before_map.items()
@@ -248,5 +248,5 @@ def test_multi_switch_replay_of_applied_batch_conserves():
     real, report = multi_switch(real, 1, 5, 4, WHITE, z3_hint=(3, 5), z2_hint=(1, 2))
     fresh = make_colored_realization(6, list(initial.items()),
                                      {RESIDUAL: 2, one_factor(0): 1})
-    fresh.apply_swap_batch([(e, new) for (e, _, new) in report.applied])
+    fresh.apply_swap_batch([(e, new) for (e, _, new) in real.trace.batches[-1].changes])
     assert fresh.coloring_map() == real.coloring_map()
