@@ -28,7 +28,8 @@ gadget.  ``half-k-40-gadget-k10-text`` was re-recorded again when a merge
 began to match only its two cycles, the edges it recolored and its bridge,
 rather than all of its work class inside the pair.  ``DIGESTS_AT_SCALE`` pins
 the sha256 of three n=256 certificates, in-process rather than through the
-CLI, whose bytes would be megabytes each.
+CLI, whose bytes would be megabytes each.  ``BENCH_PASS_DIGESTS`` pins the
+seed-1 pass digest of each benchmark workload.
 
 To re-record after a deliberate output change, from the repository root:
 ``PYTHONPATH=src python -m tests.test_golden NAME ...`` rewrites only the
@@ -47,7 +48,15 @@ from pathlib import Path
 
 import pytest
 
-from factorpack import four_ones, half_k, verify_certificate
+from factorpack import (
+    certificate_from_realization,
+    four_ones,
+    four_ones_realization,
+    half_k,
+    half_k_realization,
+    verify_certificate,
+)
+from factorpack.coloring import DegreeSequence
 from factorpack.cli import run
 from factorpack.serialize import certificate_to_json
 
@@ -231,6 +240,27 @@ def test_certificate_digest_at_n256(build, pi, digest):
     cert = build(pi, 64)
     assert verify_certificate(pi, 64, cert).passed
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
+
+
+# sha256 of one benchmark pass at seed 1: certificate_to_json(cert) + "\n" per
+# request, in corpus order, as perfbench/run.py digests a pass.
+BENCH_PASS_DIGESTS = {
+    "pack-regular": "cdd1af2d322ab41771d4adab65f788cd0748aa73fd69b96e470113e575b5b31a",
+    "dense-random": "e626f17a484cf72f1bbf6ec6662077239755aa61e6d6ef16bf3e7cf76d976587",
+    "sweep-n10": "29a983008a30c424812999ea169c68b5d2dac914d6ff3905c2d229fe4de8b143",
+}
+
+
+@pytest.mark.parametrize("workload", BENCH_PASS_DIGESTS)
+def test_bench_pass_digest_at_seed_1(workload):
+    from tests.test_realize import _perfbench_corpus
+
+    digest = hashlib.sha256()
+    for mode, pi, k in _perfbench_corpus().build(workload, 1)[0]:
+        build = four_ones_realization if mode == "four-ones" else half_k_realization
+        cert = certificate_from_realization(build(DegreeSequence.of(pi), k, 0), mode, k)
+        digest.update(certificate_to_json(cert).encode() + b"\n")
+    assert digest.hexdigest() == BENCH_PASS_DIGESTS[workload]
 
 
 def test_record_rewrites_only_the_named_cases(tmp_path, monkeypatch):

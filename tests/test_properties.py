@@ -5,6 +5,8 @@ G(n, p) in vertex order, run through ``kundu_realize`` and, for even n,
 ``four_ones_realization`` (k >= 1) and ``half_k_realization`` (k >= 4).  The
 explicit examples reach the gadget fill and switch repair, which random draws
 rarely do.  ``derandomize=True`` draws the same examples on every run.
+A last property draws arbitrary certificates and checks that
+``certificate_to_json`` writes what ``json.dumps`` writes.
 """
 
 import random
@@ -24,7 +26,7 @@ from factorpack import (  # noqa: E402
     replay_trace,
     verify_certificate,
 )
-from factorpack.coloring import WHITE  # noqa: E402
+from factorpack.coloring import WHITE, FactorCertificate  # noqa: E402
 from factorpack.graphs import all_pairs  # noqa: E402
 from factorpack.realize import (  # noqa: E402
     _circulant_fill,
@@ -32,8 +34,10 @@ from factorpack.realize import (  # noqa: E402
     erdos_gallai_graphic_raw,
     havel_hakimi_realize,
 )
+from factorpack.serialize import certificate_to_json  # noqa: E402
 from tests.conftest import recount_colors  # noqa: E402
 from tests.test_realize import engine_path, reaches_switch_repair  # noqa: E402
+from tests.test_serialize import reference_json  # noqa: E402
 
 # Found by a seeded search; the names say which fill of kundu_realize each one reaches.
 GADGET = ([8, 8, 7, 7, 7, 6, 5, 5, 5, 4], 4)
@@ -97,3 +101,22 @@ def test_explicit_examples_reach_the_fills_they_are_named_for():
     assert engine_path(havel_hakimi_realize([d - k for d in pi]).complement(), k) == "deficit"
     for pi, k in (SWITCH_REPAIR, SWITCH_REPAIR_N16):
         assert reaches_switch_repair(pi, k)
+
+
+_edge_lists = st.lists(st.tuples(st.integers(-5, 2 ** 40), st.integers(-5, 2 ** 40)), max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.builds(
+    FactorCertificate,
+    n=st.integers(0, 2 ** 40),
+    pi=st.lists(st.integers(0, 2 ** 40), max_size=6).map(tuple),
+    k=st.integers(-3, 2 ** 40),
+    mode=st.text(max_size=8),
+    one_factors=st.lists(_edge_lists, max_size=3),
+    two_factors=st.lists(_edge_lists, max_size=3),
+    residual=st.none() | st.tuples(st.integers(0, 9), _edge_lists),
+    black_edges=_edge_lists,
+))
+def test_certificate_writer_matches_json_dumps(cert):
+    assert certificate_to_json(cert) == reference_json(cert)
