@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .errors import (
     ConservationViolation,
@@ -36,8 +38,8 @@ from .graphs import SimpleGraph, all_pairs, edge
 # After a conserving batch (no declared_updates), recheck the regularity of
 # every class at the batch's endpoints when True; rely on the per-vertex
 # conservation check alone when False.  Conservation already proves that no
-# count moved, so the recheck is a second guard.  A batch that changes a
-# declared degree is always revalidated at every vertex.
+# count moved, so the recheck is a second guard.  A class transition is always
+# revalidated: its updated classes at every vertex, the rest at its endpoints.
 STRICT_VALIDATION = True
 
 _KIND_ORDER = {"white": 0, "black": 1, "residual": 2, "one": 3, "two": 4}
@@ -237,19 +239,40 @@ class ColoredRealization:
         full check would: no other vertex's counts moved.
         """
         checked = range(self.n) if vertices is None else sorted(vertices)
+        self._check(lambda c: checked, checked)
+
+    def _check(self, vertices_of, white_vertices) -> None:
+        """Check each declared class at ``vertices_of(class)``, in ``Color.sort_key`` order, then white."""
         for c in sorted(self.declared, key=Color.sort_key):
             if not c.is_factor:
                 raise ValueError(f"{c} cannot be a declared class")
             m = self.declared[c]
-            for v in checked:
+            for v in vertices_of(c):
                 actual = self._counts[v].get(c, 0)
                 if actual != m:
                     raise RegularityViolation(v, c, m, actual)
-        for v in checked:
+        for v in white_vertices:
             non_white = self.n - 1 - self._counts[v].get(WHITE, 0)
             if non_white != self.degrees[v]:
                 raise RegularityViolation(v, WHITE, self.n - 1 - self.degrees[v],
                                           self._counts[v].get(WHITE, 0))
+
+    def _check_transition(self, changes, updated) -> None:
+        """After a class transition, check what it can break; raises what ``validate()`` raises first.
+
+        Every check passed before the batch, and only the batch's endpoints
+        changed counts.  So a class in ``updated`` is checked at every vertex,
+        any other class only at the endpoints where the batch moved it, and
+        white at every endpoint.
+        """
+        moved_at: dict[Color, set[int]] = {}
+        for (old, new), run in groupby(changes, key=itemgetter(1, 2)):
+            ends = set(chain.from_iterable(map(itemgetter(0), run)))
+            moved_at.setdefault(old, set()).update(ends)
+            moved_at.setdefault(new, set()).update(ends)
+        everywhere = range(self.n)
+        self._check(lambda c: everywhere if c in updated else sorted(moved_at.get(c, ())),
+                    sorted(set().union(*moved_at.values())))
 
     # --- mutation ---
 
@@ -259,8 +282,9 @@ class ColoredRealization:
 
         Without ``declared_updates`` every per-vertex per-color degree must be
         unchanged.  Deliberate class transitions pass ``declared_updates``
-        (color -> new degree, or None to undeclare), and the declared classes
-        are then revalidated.  If any check fails, the colors, the class index
+        (color -> new degree, or None to undeclare); the classes they update
+        are then revalidated at every vertex, and the classes the batch moved,
+        and white, at its endpoints.  If any check fails, the colors, the class index
         and the declared degrees are restored and the batch is not traced.  An
         edge outside K_n is rejected before anything changes.
         """
@@ -307,7 +331,7 @@ class ColoredRealization:
                 if moved:
                     raise ConservationViolation(*min(moved, key=lambda t: (t[0], t[1].sort_key())))
             if declared_updates:
-                self.validate()
+                self._check_transition(changes, declared_updates)
             elif STRICT_VALIDATION:
                 self.validate({x for (e, _, _) in changes for x in e})
         except (ConservationViolation, RegularityViolation, ValueError):

@@ -23,6 +23,7 @@ multi-switch when none exists.  That makes 4 + (k - 4)/2 or
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .coloring import (
@@ -49,7 +50,7 @@ from .errors import (
     TooManyOneFactors,
 )
 from .graphs import SimpleGraph, cycles_of_two_regular, edge, euler_circuit
-from .matching import Matching, lemma_odd_certificate, maximum_matching
+from .matching import Matching, _maximize, lemma_odd_certificate
 from .realize import degree_sequence_checked, kundu_realize
 from .switching import multi_switch, parallel_two_switch
 
@@ -134,7 +135,7 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
             raise PreconditionViolated(f"matching edge ({a}, {b}) straddles the cycle pair")
 
     first_batch = len(real.trace.batches)
-    bridge = min((edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) is work), default=None)
+    bridge = _least_bridge(real, c1, c2, work)
     if bridge is not None:
         case = CrossEdgeCase(edges=(bridge,) * 4, resolution="bridge")
     elif work == RESIDUAL:
@@ -150,7 +151,7 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
     if bridge is not None:  # a bridging merge switches nothing, so nothing moved
         sub_edges.add(bridge)
     sub_edges.update(e for e, c in moved.items() if c is work and vs.issuperset(e))
-    sub = maximum_matching(SimpleGraph(real.n, sub_edges))
+    sub = _matching_on(sorted(vs), sub_edges)
     if sub.covered != frozenset(vs):
         raise ChainStuck(
             f"perfect matching over the merged cycles is missing {sorted(vs - set(sub.covered))}")
@@ -160,6 +161,42 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
     if merged.size <= matching.size:
         raise InternalInvariantError("merge did not grow the matching")
     return real, merged, case
+
+
+def _least_bridge(real: ColoredRealization, c1, c2, work: Color) -> tuple[int, int] | None:
+    """The least ``work`` edge between the two cycles, or None.
+
+    Walks the pairs (a, b), a < b, one endpoint on each cycle, in ascending
+    order and stops at the first one in the class index.
+    """
+    class_edges = real._edges[work]
+    sides = (sorted(c1), sorted(c2))
+    side_of = {x: s for s, cyc in enumerate(sides) for x in cyc}
+    for a in sorted(side_of):
+        other = sides[1 - side_of[a]]
+        for b in other[bisect_right(other, a):]:
+            if (a, b) in class_edges:
+                return (a, b)
+    return None
+
+
+def _matching_on(vertices: list[int], edges) -> Matching:
+    """``maximum_matching`` of the graph on ``vertices`` (ascending) and ``edges``, built at its own size.
+
+    Vertex ``vertices[i]`` becomes i.  The relabelling keeps the order of the
+    ids, so ``_maximize`` searches the rows in the same order as it would on
+    all n vertices and returns the same edges.
+    """
+    local = {x: i for i, x in enumerate(vertices)}
+    rows: list[list[int]] = [[] for _ in vertices]
+    for (a, b) in edges:
+        rows[local[a]].append(local[b])
+        rows[local[b]].append(local[a])
+    for row in rows:
+        row.sort()
+    mate = [-1] * len(vertices)
+    _maximize(rows, mate)
+    return Matching(frozenset((vertices[i], vertices[j]) for i, j in enumerate(mate) if j > i))
 
 
 def _switch_residual_pair(real: ColoredRealization, c1, c2) -> CrossEdgeCase:
@@ -273,14 +310,24 @@ def petersen_two_factorize(g: SimpleGraph, r: int) -> list[list[tuple[int, int]]
     if any(d != 2 * r for d in degrees) or r < 0:
         raise NotEvenRegular(f"degrees {sorted(set(degrees))} are not constant 2r with r={r}")
     n = g.n
-    arcs = {(a, n + b) for walk in euler_circuit(g) for a, b in zip(walk, walk[1:])}
+    # Rows of the bipartite graph, ascending, as maximum_matching would build them.
+    rows: list[list[int]] = [[] for _ in range(2 * n)]
+    for walk in euler_circuit(g):
+        for a, b in zip(walk, walk[1:]):
+            rows[a].append(n + b)
+            rows[n + b].append(a)
+    for row in rows:
+        row.sort()
     factors = []
     for _ in range(r):
-        pm = maximum_matching(SimpleGraph(2 * n, arcs))
-        if not pm.is_perfect(2 * n):
+        mate = [-1] * (2 * n)
+        _maximize(rows, mate)
+        if -1 in mate:
             raise InternalInvariantError("regular orientation lost its perfect matching")
-        arcs -= pm.edges
-        factors.append(sorted(edge(a, b - n) for a, b in pm.edges))
+        for a in range(n):
+            rows[a].remove(mate[a])
+            rows[mate[a]].remove(a)
+        factors.append(sorted(edge(a, mate[a] - n) for a in range(n)))
     return factors
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -14,9 +15,7 @@ def edge(u: int, v: int) -> tuple[int, int]:
 
 def all_pairs(n: int):
     """Every pair (u, v), u < v, in lexicographic order: the order of coloring's pair index."""
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield (u, v)
+    return combinations(range(n), 2)
 
 
 @dataclass

@@ -3,6 +3,14 @@
 Every edge is emitted as [u, v] with u < v, edge lists are sorted
 lexicographically, and factor lists are sorted by first edge, so equal
 objects always serialize to identical bytes.
+
+``certificate_to_json`` writes the bytes of ``json.dumps(certificate_to_dict(c),
+indent=2)`` directly.  With an indent, ``json.dumps`` runs CPython's
+pure-Python encoder, which costs more than building the certificate; the
+writer formats each edge with one format string and calls ``json.dumps``
+only to escape ``mode``.  ``tests/test_serialize.py`` holds it to
+``json.dumps`` byte for byte on every sweep certificate up to n = 8 and on
+hand-built edge cases, and ``tests/test_properties.py`` on drawn certificates.
 """
 
 from __future__ import annotations
@@ -34,8 +42,36 @@ def certificate_to_dict(cert: FactorCertificate) -> dict:
     }
 
 
+def _rows(items, pad: str) -> str:
+    """``json.dumps``'s indent=2 list of already-encoded items, its opening bracket at indent ``pad``."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _edge_rows(edges, pad: str) -> str:
+    """``_rows`` of ``_edges(edges)``: one format string per edge."""
+    inner = pad + "  "
+    row = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+    return _rows([row % (u, v) for (u, v) in sorted(edges)], pad)
+
+
 def certificate_to_json(cert: FactorCertificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    """``json.dumps(certificate_to_dict(cert), indent=2) + "\\n"``, written directly; see the module docstring."""
+    residual = "null"
+    if cert.residual is not None:
+        residual = (f'{{\n    "degree": {cert.residual[0]:d},\n'
+                    f'    "edges": {_edge_rows(cert.residual[1], "    ")}\n  }}')
+    return (
+        f'{{\n  "n": {cert.n:d},\n'
+        f'  "pi": {_rows(["%d" % d for d in cert.pi], "  ")},\n'
+        f'  "k": {cert.k:d},\n'
+        f'  "mode": {json.dumps(cert.mode)},\n'
+        f'  "one_factors": {_rows([_edge_rows(m, "    ") for m in cert.one_factors], "  ")},\n'
+        f'  "two_factors": {_rows([_edge_rows(f, "    ") for f in cert.two_factors], "  ")},\n'
+        f'  "residual": {residual},\n'
+        f'  "black_edges": {_edge_rows(cert.black_edges, "  ")}\n}}\n'
+    )
 
 
 def _int_in(x) -> int:

@@ -195,18 +195,23 @@ def test_colors_are_interned():
 
 
 class FullValidation(ColoredRealization):
-    """Reference realization: every check after a batch covers every vertex."""
+    """Reference realization: every check after a batch covers every class at every vertex."""
 
-    def validate(self, vertices=None):
-        super().validate()
+    def _check(self, vertices_of, white_vertices):
+        super()._check(lambda c: range(self.n), range(self.n))
 
 
-def _outcome(call):
+def _raised(call):
     try:
         call()
     except Exception as exc:  # the outcome under test is the exception itself
-        return type(exc), exc.args
+        return exc
     return None
+
+
+def _outcome(call):
+    exc = _raised(call)
+    return None if exc is None else (type(exc), exc.args)
 
 
 def _assert_index_matches_coloring(real, palette):
@@ -250,8 +255,34 @@ def _corrupted(rng, real, palette):
     return list(batch.items()), declared_updates
 
 
+def _corrupted_transition(rng, real, how):
+    """A class transition that breaks one check; None if ``real`` has nothing to break it with.
+
+    ``how`` is "updated" (a class it declares fails away from its endpoints),
+    "moved" (a class it does not update loses an edge) or "white" (a white
+    degree changes at its endpoints).
+    """
+    declared = sorted(real.declared, key=Color.sort_key)
+    loose = real.edges_of(BLACK) + real.edges_of(WHITE)
+    if how == "updated":
+        # one edge declared a 1-factor: every vertex off the edge lacks its match
+        fresh = one_factor(1 + max((c.index for c in declared if c.kind == "one"), default=-1))
+        return ([(rng.choice(loose), fresh)], {fresh: 1}) if loose else None
+    if not declared or not loose:
+        return None
+    batch, updates = _transition(rng, real)
+    if how == "moved":
+        others = [c for c in declared if c not in updates and real.edges_of(c)]
+        if not others:
+            return None
+        return batch + [(rng.choice(real.edges_of(rng.choice(others))), BLACK)], updates
+    e = rng.choice(loose)
+    return batch + [(e, WHITE if real.color_of(*e) is BLACK else BLACK)], updates
+
+
 def test_index_and_endpoint_validation_match_full_scans():
     rng = random.Random(8128)
+    bad_rng = random.Random(6)  # draws the corrupted transitions, so rng's draws are as before
     seen = Counter()
     for _trial in range(60):
         n = rng.randint(4, 9)
@@ -289,7 +320,29 @@ def test_index_and_endpoint_validation_match_full_scans():
                 seen[kind, "rejected"] += 1
             real.validate()
             _assert_index_matches_coloring(real, [*palette, *real.declared])
-    wanted = (("conserving", "applied"), ("transition", "applied"), ("corrupted", "rejected"))
+        for how in ("updated", "moved", "white"):
+            drawn = _corrupted_transition(bad_rng, real, how)
+            if drawn is None:
+                continue
+            batch, updates = drawn
+            before = real.coloring_map()
+            got = _raised(lambda: real.apply_swap_batch(batch, declared_updates=updates))
+            want = _raised(lambda: twin.apply_swap_batch(batch, declared_updates=updates))
+            assert isinstance(got, RegularityViolation), got
+            assert (type(got), got.args) == (type(want), want.args)
+            endpoints = {x for e, _ in batch for x in e}
+            if how == "updated":
+                assert got.vertex not in endpoints and got.color is batch[0][1], got
+            elif how == "moved":
+                assert got.vertex in endpoints and got.color not in (*updates, WHITE), got
+            else:
+                assert got.vertex in endpoints and got.color is WHITE, got
+            assert real.coloring_map() == twin.coloring_map() == before
+            assert real.declared == twin.declared
+            seen["corrupted transition", how] += 1
+    wanted = (("conserving", "applied"), ("transition", "applied"), ("corrupted", "rejected"),
+              ("corrupted transition", "updated"), ("corrupted transition", "moved"),
+              ("corrupted transition", "white"))
     assert all(seen[w] > 10 for w in wanted), seen
 
 

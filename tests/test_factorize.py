@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import random
 
 import pytest
 
@@ -26,6 +27,7 @@ from factorpack.coloring import (
     BLACK,
     RESIDUAL,
     WHITE,
+    Color,
     DegreeSequence,
     make_colored_realization,
     one_factor,
@@ -41,7 +43,7 @@ from factorpack.errors import (
     TooManyOneFactors,
 )
 from factorpack.graphs import all_pairs, connected_components, cycles_of_two_regular, edge
-from tests.conftest import recount_colors
+from tests.conftest import random_colored_realization, recount_colors
 
 
 # --- monotone triples ---
@@ -360,28 +362,28 @@ def test_a_merge_matches_only_its_cycles_its_moved_edges_and_its_bridge(monkeypa
     import factorpack.factorize as factorize
     from tests.test_acceptance import SWEEP_SIZES, sweep_instances
 
-    merge, matcher = factorize.merge_odd_cycle_pair, factorize.maximum_matching
+    merge, matcher = factorize.merge_odd_cycle_pair, factorize._matching_on
     searched, resolutions = [], []
 
-    def spying_matcher(g):
-        searched.append(g)
-        return matcher(g)
+    def spying_matcher(vertices, edges):
+        searched.append(set(edges))
+        return matcher(vertices, edges)
 
     def recording(real, matching, c1, c2, work):
         first_batch = len(real.trace.batches)
-        monkeypatch.setattr(factorize, "maximum_matching", spying_matcher)
+        monkeypatch.setattr(factorize, "_matching_on", spying_matcher)
         try:
             result = merge(real, matching, c1, c2, work)
         finally:
-            monkeypatch.setattr(factorize, "maximum_matching", matcher)
-        (g,) = searched
+            monkeypatch.setattr(factorize, "_matching_on", matcher)
+        (matched_among,) = searched
         searched.clear()
         allowed = {edge(c[i], c[i - 1]) for c in (c1, c2) for i in range(len(c))}
         allowed |= {e for batch in real.trace.batches[first_batch:] for (e, _, _) in batch.changes}
         case = result[2]
         if case.resolution == "bridge":
             allowed.add(case.edges[0])
-        assert g.edges <= allowed, (c1, c2, sorted(g.edges - allowed))
+        assert matched_among <= allowed, (c1, c2, sorted(matched_among - allowed))
         assert set(c1) | set(c2) <= result[1].covered
         resolutions.append(case.resolution)
         return result
@@ -395,6 +397,48 @@ def test_a_merge_matches_only_its_cycles_its_moved_edges_and_its_bridge(monkeypa
     half_k([6] * 18, 6)
     assert len(resolutions) > 100
     assert {"white-e1", "white-e4", "black-e1", "bridge", "black-switch"} <= set(resolutions)
+
+
+def reference_bridge(real, c1, c2, work):
+    """The bridge scan before it walked the pairs in order: |C1|*|C2| ``color_of`` calls."""
+    return min((edge(a, b) for a in c1 for b in c2 if real.color_of(a, b) is work), default=None)
+
+
+def test_least_bridge_matches_the_reference_scan(monkeypatch):
+    """Every merge of every sweep task with n <= 8, the black bridges of two larger half-k
+    inputs, the prism's residual bridge, and random vertex sets in random colorings."""
+    import factorpack.factorize as factorize
+    from tests.test_acceptance import SWEEP_SIZES, sweep_instances
+
+    scan, found = factorize._least_bridge, []
+
+    def checked(real, c1, c2, work):
+        bridge = scan(real, c1, c2, work)
+        assert bridge == reference_bridge(real, c1, c2, work), (c1, c2, work)
+        found.append((work, bridge))
+        return bridge
+
+    monkeypatch.setattr(factorize, "_least_bridge", checked)
+    for ds, k in sweep_instances(SWEEP_SIZES):
+        four_ones(ds, k)
+        if k >= 4:
+            half_k(ds, k)
+    half_k([10] * 12, 10)
+    half_k([6] * 18, 6)
+    real, m = prism_with_partial_matching()
+    merge_odd_cycle_pair(real, m, (0, 1, 2), (3, 4, 5), RESIDUAL)
+    assert len(found) > 100
+    assert found[-1] == (RESIDUAL, (0, 3))
+    assert any(work is BLACK and bridge is not None for work, bridge in found)
+
+    rng = random.Random(31)
+    for _ in range(300):
+        real = random_colored_realization(rng, rng.randint(4, 12))
+        work = rng.choice(sorted(real._edges, key=Color.sort_key))
+        vs = rng.sample(range(real.n), rng.randint(2, real.n))
+        cut = rng.randint(1, len(vs) - 1)
+        c1, c2 = vs[:cut], vs[cut:]
+        assert scan(real, c1, c2, work) == reference_bridge(real, c1, c2, work)
 
 
 def initial_coloring(real):
