@@ -29,9 +29,11 @@ from factorpack.errors import (
     PreconditionViolated,
     RegularityViolation,
 )
+from factorpack.cli import _PIPELINES
 from factorpack.graphs import edge
 from tests.conftest import random_colored_realization
 from tests.test_factorize import initial_coloring
+from tests.test_realize import _perfbench_corpus
 
 
 def test_single_edge_realization():
@@ -86,6 +88,17 @@ def test_regularity_violation_names_vertex_and_class():
     assert info.value.vertex in (1, 2)
 
 
+def _state(real):
+    """What a rejected batch must leave as it found: colors, per-vertex counts, class index, declared, trace.
+
+    Counts and classes are compared by content: a zero count or an empty
+    class reads as an absent one, and a rollback may drop or keep either.
+    """
+    return (real.coloring_map(), [{c: m for c, m in row.items() if m} for row in real._counts],
+            {c: set(es) for c, es in real._edges.items() if es}, dict(real.declared),
+            len(real.trace.batches))
+
+
 def _four_vertex_instance():
     c = one_factor(0)
     asg = [((0, 2), WHITE), ((1, 2), c), ((0, 3), c), ((1, 3), WHITE), ((0, 1), BLACK), ((2, 3), BLACK)]
@@ -101,35 +114,48 @@ def test_swap_batch_conserving_pair_swap():
 
 def test_swap_batch_rolls_back_on_conservation_failure():
     real, c = _four_vertex_instance()
-    before = real.coloring_map()
+    before = _state(real)
     with pytest.raises(ConservationViolation) as info:
         real.apply_swap_batch([((0, 2), c), ((1, 2), WHITE)])
-    assert real.coloring_map() == before
+    assert _state(real) == before
     assert info.value.delta != 0
     with pytest.raises(ConservationViolation):
         real.apply_swap_batch([((0, 1), WHITE)])
-    assert real.coloring_map() == before
+    assert _state(real) == before
+    with pytest.raises(ConservationViolation):  # the batch adds a class to the index
+        real.apply_swap_batch([((0, 2), one_factor(1))])
+    assert _state(real) == before
     assert real.trace.batches == []
 
 
 def test_swap_batch_rolls_back_a_failed_class_transition():
     real = kundu_realize([3] * 6, 3)
-    before, declared, traced = real.coloring_map(), dict(real.declared), len(real.trace.batches)
+    before = _state(real)
     e = real.edges_of(RESIDUAL)[0]
     with pytest.raises(RegularityViolation):
         real.apply_swap_batch([(e, one_factor(0))], declared_updates={one_factor(0): 1})
-    assert real.coloring_map() == before
-    assert real.declared == declared
-    assert len(real.trace.batches) == traced
+    assert _state(real) == before
     real.validate()
 
 
 def test_swap_batch_rejects_noop_and_duplicates():
     real, c = _four_vertex_instance()
+    before = _state(real)
     with pytest.raises(PreconditionViolated):
         real.apply_swap_batch([((0, 2), WHITE)])
+    assert _state(real) == before
     with pytest.raises(PreconditionViolated):
         real.apply_swap_batch([((0, 2), c), ((2, 0), BLACK)])
+    assert _state(real) == before
+
+
+def test_swap_batch_rejects_a_loop_before_any_change():
+    real, c = _four_vertex_instance()
+    before = _state(real)
+    for batch in ([((2, 2), c)], [((0, 2), c), ((2, 2), c)], [((0, 2), c), ((1, 2), WHITE), ((3, 3), BLACK)]):
+        with pytest.raises(ValueError, match="loop at vertex"):
+            real.apply_swap_batch(batch)
+        assert _state(real) == before
 
 
 def test_empty_batch_is_identity():
@@ -163,7 +189,7 @@ def test_white_consistency_invariant():
 
 def test_out_of_range_edge_is_rejected_before_any_change():
     real = kundu_realize([3] * 6, 3)
-    before, declared, traced = real.coloring_map(), dict(real.declared), len(real.trace.batches)
+    before = _state(real)
     classes = {c: real.edges_of(c) for c in (WHITE, BLACK, RESIDUAL)}
     first = real.edges_of(RESIDUAL)[0]
     for bad in ((0, 6), (6, 0), (-1, 2), (6, 7)):
@@ -171,9 +197,7 @@ def test_out_of_range_edge_is_rejected_before_any_change():
             real.color_of(*bad)
         with pytest.raises(PreconditionViolated):
             real.apply_swap_batch([(first, BLACK), (bad, BLACK)])
-        assert real.coloring_map() == before
-        assert real.declared == declared
-        assert len(real.trace.batches) == traced
+        assert _state(real) == before
         assert {c: real.edges_of(c) for c in classes} == classes
         real.validate()
 
@@ -300,7 +324,7 @@ def test_index_and_endpoint_validation_match_full_scans():
                 (batch, updates), kind = _transition(rng, real), "transition"
             else:
                 (batch, updates), kind = _corrupted(rng, real, palette), "corrupted"
-            before = real.coloring_map()
+            before, state = real.coloring_map(), _state(real)
             if kind == "corrupted":
                 # Only the batch's endpoints change counts, so the endpoint check
                 # must raise exactly what the full check raises.
@@ -316,7 +340,7 @@ def test_index_and_endpoint_validation_match_full_scans():
                 seen[kind, "applied"] += 1
             else:
                 assert kind == "corrupted", got
-                assert real.coloring_map() == before
+                assert _state(real) == state
                 seen[kind, "rejected"] += 1
             real.validate()
             _assert_index_matches_coloring(real, [*palette, *real.declared])
@@ -325,7 +349,7 @@ def test_index_and_endpoint_validation_match_full_scans():
             if drawn is None:
                 continue
             batch, updates = drawn
-            before = real.coloring_map()
+            before, state = real.coloring_map(), _state(real)
             got = _raised(lambda: real.apply_swap_batch(batch, declared_updates=updates))
             want = _raised(lambda: twin.apply_swap_batch(batch, declared_updates=updates))
             assert isinstance(got, RegularityViolation), got
@@ -339,11 +363,40 @@ def test_index_and_endpoint_validation_match_full_scans():
                 assert got.vertex in endpoints and got.color is WHITE, got
             assert real.coloring_map() == twin.coloring_map() == before
             assert real.declared == twin.declared
+            assert _state(real) == state
             seen["corrupted transition", how] += 1
     wanted = (("conserving", "applied"), ("transition", "applied"), ("corrupted", "rejected"),
               ("corrupted transition", "updated"), ("corrupted transition", "moved"),
               ("corrupted transition", "white"))
     assert all(seen[w] > 10 for w in wanted), seen
+
+
+def edge_by_edge_counts(n: int, classes) -> list[dict]:
+    """Per-vertex color counts, one dict update per edge end, white as n - 1 less the rest."""
+    counts = [{} for _ in range(n)]
+    for c, class_edges in classes.items():
+        for e in class_edges:
+            for x in e:
+                counts[x][c] = counts[x].get(c, 0) + 1
+    for row in counts:
+        row[WHITE] = n - 1 - sum(row.values())
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_counts_are_the_edge_by_edge_count_on_every_sweep_task(n):
+    """Kundu's start and a rebuild of each pipeline's end, on every ``factorpack sweep`` task at n."""
+    tasks = _perfbench_corpus().sweep_tasks(n)
+    for mode, pi, k in tasks:
+        start = kundu_realize(pi, k)
+        classes = {c: start.edges_of(c) for c in (RESIDUAL, BLACK)}
+        assert start._counts == edge_by_edge_counts(n, classes), (pi, k)
+        end = _PIPELINES[mode][0](pi, k, 0)
+        classes = {c: end.edges_of(c) for c in (BLACK, *end.declared)}
+        rebuilt = ColoredRealization(n, classes, end.declared)
+        assert rebuilt._counts == edge_by_edge_counts(n, classes), (mode, pi, k)
+        assert _state(end)[1] == _state(rebuilt)[1], (mode, pi, k)
+    assert len(tasks) > (0 if n < 8 else 500), len(tasks)
 
 
 def test_half_k_at_n64_verifies_replays_and_keeps_the_index():

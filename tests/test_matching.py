@@ -1,5 +1,6 @@
 import random
-from collections import deque
+import sys
+from collections import Counter, deque
 
 import pytest
 
@@ -184,6 +185,21 @@ def reference_maximum_matching(g, initial=None):
     return Matching.from_edges((v, match[v]) for v in range(n) if match[v] > v)
 
 
+def reference_maximize(adj: list[list[int]], match: list[int]) -> None:
+    """``_maximize`` without its root step: every uncovered root runs the reference search."""
+    for v in range(len(adj)):
+        if match[v] == -1:
+            reference_augment_from(v, adj, match)
+
+
+def assert_maximize_as_the_reference(adj: list[list[int]], match: list[int]) -> None:
+    """``_maximize`` grows ``match`` in place to the mates the reference gives from the same start."""
+    want = list(match)
+    reference_maximize(adj, want)
+    _maximize(adj, match)
+    assert match == want
+
+
 def gnp(rng, n, p):
     return SimpleGraph(n, {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p})
 
@@ -227,6 +243,52 @@ def test_maximum_matching_same_edges_as_reference():
         assert maximum_matching(g).edges == reference_maximum_matching(g).edges, (g.n, sorted(g.edges))
         expected = reference_maximum_matching(g, initial)
         assert warm_matching(g, initial).edges == expected.edges, (g.n, sorted(g.edges), initial)
+
+
+def test_root_step_skips_a_blossom_that_the_root_row_closes():
+    """Root 0's row reaches a and b, matched to each other, before uncovered c.
+
+    The search contracts the blossom 0-a-b while it scans that row, then
+    augments at c; the root step matches 0 to c without a search.  When the
+    row has no uncovered vertex, the search runs and finds 0-a-b-c.
+    """
+    a, b, c = 1, 2, 3
+    adj = [[a, b, c], [0, b], [0, a], [0]]
+    match = [-1, b, a, -1]
+    assert_maximize_as_the_reference(adj, match)
+    assert match == [c, b, a, 0]
+    adj = [[a, b], [0, b], [0, a, c], [b]]
+    match = [-1, b, a, -1]
+    assert_maximize_as_the_reference(adj, match)
+    assert match == [a, 0, c, b]
+
+
+def test_root_step_as_the_reference_on_the_rows_of_every_split_round_and_merge(monkeypatch):
+    """Every ``_maximize`` call of ``factorize`` in a pack-regular and a dense-random pass at seed 1.
+
+    Those are each round of ``petersen_two_factorize``'s bipartite rows and
+    the rows ``_matching_on`` builds for merges; splits of seeded
+    2r-regular graphs add rounds at other sizes.
+    """
+    import factorpack.factorize as factorize
+
+    calls = Counter()
+
+    def checking(rows, mate):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        assert_maximize_as_the_reference(rows, mate)
+
+    monkeypatch.setattr(factorize, "_maximize", checking)
+    corpus = _perfbench_corpus()
+    for workload in ("pack-regular", "dense-random"):
+        for mode, pi, k in corpus.build(workload, 1)[0]:
+            build = factorize.four_ones_realization if mode == "four-ones" else factorize.half_k_realization
+            build(pi, k)
+    assert calls["petersen_two_factorize"] > 100 and calls["_matching_on"] > 100, calls
+    rng = random.Random(1597)
+    for n, r in ((9, 1), (16, 2), (31, 3), (64, 4), (100, 5)):
+        factorize.petersen_two_factorize(random_regular_graph(rng, n, 2 * r), r)
+    assert set(calls) == {"petersen_two_factorize", "_matching_on"}, calls
 
 
 def test_maximum_matching_size_agrees_with_networkx():

@@ -192,6 +192,27 @@ def test_pair_off_matches_reference_on_random_targets():
     assert min(outcomes.values()) >= 30, outcomes
 
 
+def test_pair_off_matches_reference_on_constant_targets():
+    """[d]*n with nothing forbidden: every vertex ties at first, so the tie order decides every edge."""
+    for n in (128, 192, 256):
+        for d in sorted({1, 2, 3, 5, n // 8, n // 4 - 1, n // 2, n // 2 + 1, n - 2, n - 1}):
+            got = _pair_off([d] * n, set())
+            assert got == reference_pair_off([d] * n, set()), (n, d)
+            assert len(got) == n * d // 2, (n, d)
+
+
+def test_pair_off_matches_reference_as_the_greedy_fill_of_every_pack_regular_point():
+    """[k]*n against the edges of HH(pi - k), the greedy fill's own call, on the bench's pack-regular grid."""
+    points = sorted({(tuple(pi), k) for _mode, pi, k in _perfbench_corpus().build("pack-regular", 1)[0]})
+    filled = 0
+    for pi, k in points:
+        r = havel_hakimi_realize([d - k for d in pi])
+        got = _pair_off([k] * r.n, r.edges)
+        assert got == reference_pair_off([k] * r.n, r.edges), (len(pi), pi[0], k)
+        filled += got is not None
+    assert len(points) == 14 and 0 < filled < 14, filled  # the rest fill by circulant rings
+
+
 def test_switch_randomize_identity_and_triangle():
     g = havel_hakimi_realize([2, 2, 2, 2])
     assert switch_randomize(g, 0, seed=5).edges == g.edges
