@@ -172,15 +172,19 @@ class ColoredRealization:
         self._colors = colors = [WHITE] * (n * (n - 1) // 2)
         self.declared = dict(declared)
         self.trace = SwitchTrace()
-        self._counts: list[dict[Color, int]] = [dict() for _ in range(n)]
         # Edge set of every class except white; apply_swap_batch keeps it current.
         self._edges: dict[Color, set[tuple[int, int]]] = {}
+        class_degrees: list[tuple[Color, list[int]]] = []
         for c, class_edges in classes.items():
-            self._edges[c] = set(class_edges)
-            for e in self._edges[c]:
-                colors[_pair_index(n, *e)] = c
-                for x in e:
-                    self._counts[x][c] = self._counts[x].get(c, 0) + 1
+            self._edges[c] = edges = set(class_edges)
+            deg = [0] * n
+            for (u, v) in edges:
+                colors[u * (2 * n - u - 1) // 2 + v - u - 1] = c  # _pair_index, inline
+                deg[u] += 1
+                deg[v] += 1
+            class_degrees.append((c, deg))
+        self._counts: list[dict[Color, int]] = [{c: deg[x] for c, deg in class_degrees if deg[x]}
+                                                for x in range(n)]
         # Per-vertex realization degree, pinned at construction; switches must
         # never change it (white counts stay n - 1 - d_v).
         self.degrees = tuple(sum(row.values()) for row in self._counts)
@@ -289,31 +293,42 @@ class ColoredRealization:
         edge outside K_n is rejected before anything changes.
         """
         n, colors, counts, index = self.n, self._colors, self._counts, self._edges
-        seen: set[tuple[int, int]] = set()
         changes: list[tuple[tuple[int, int], Color, Color]] = []
-        for (e, new_color) in batch:
-            e = self._checked_edge(*e)
-            if e in seen:
-                raise PreconditionViolated(f"edge {e} appears twice in batch")
-            seen.add(e)
-            old = colors[_pair_index(n, *e)]
+        slots: list[int] = []  # each change's place in the color array
+        seen: set[int] = set()
+        for ((u, v), new_color) in batch:
+            if u > v:
+                u, v = v, u
+            elif u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if u < 0 or v >= n:
+                raise PreconditionViolated(f"edge {(u, v)} out of range for n={n}")
+            slot = u * (2 * n - u - 1) // 2 + v - u - 1  # _pair_index, inline
+            if slot in seen:
+                raise PreconditionViolated(f"edge {(u, v)} appears twice in batch")
+            seen.add(slot)
+            old = colors[slot]
             if old is new_color:
-                raise PreconditionViolated(f"edge {e} already has color {new_color}")
-            changes.append((e, old, new_color))
+                raise PreconditionViolated(f"edge {(u, v)} already has color {new_color}")
+            changes.append(((u, v), old, new_color))
+            slots.append(slot)
 
         def apply(forward: bool):
-            for (e, old, new) in changes:
+            for slot, (e, old, new) in zip(slots, changes):
                 src, dst = (old, new) if forward else (new, old)
-                colors[_pair_index(n, *e)] = dst
+                colors[slot] = dst
                 if src is not WHITE:
                     index[src].remove(e)
                 if dst is not WHITE:
                     index.setdefault(dst, set()).add(e)
                 for x in e:
-                    counts[x][src] -= 1
-                    if counts[x][src] == 0:
-                        del counts[x][src]
-                    counts[x][dst] = counts[x].get(dst, 0) + 1
+                    row = counts[x]
+                    left = row[src] - 1
+                    if left:
+                        row[src] = left
+                    else:
+                        del row[src]
+                    row[dst] = row.get(dst, 0) + 1
 
         apply(forward=True)
         declared = self.declared

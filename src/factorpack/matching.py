@@ -119,6 +119,13 @@ def _maximize(adj: list[list[int]], match: list[int]) -> None:
     """Grow ``match`` (each vertex's mate, -1 if uncovered) into a maximum matching, in place.
 
     ``adj`` rows are ascending and only read, so vertices may share one; a covered vertex stays covered.
+
+    A root with an uncovered neighbour is matched to the first one in its
+    row, without a search, at the cost of scanning the row up to it.  That
+    edge is the search's first augmenting path: the search scans the root's
+    whole row before it pops any other vertex, and no contraction puts an
+    uncovered vertex in the tree.  Only the other roots pay for
+    ``_augment_from``, whose cost is the tree it grows.
     """
     n = len(adj)
     # Search state shared by every root; each search puts back what it set.
@@ -127,7 +134,12 @@ def _maximize(adj: list[list[int]], match: list[int]) -> None:
     used = [False] * n
     for v in range(n):
         if match[v] == -1 and adj[v]:
-            _augment_from(v, adj, match, p, base, used)
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v], match[w] = w, v
+                    break
+            else:
+                _augment_from(v, adj, match, p, base, used)
 
 
 def _augment_from(root: int, adj: list[list[int]], match: list[int],

@@ -4,7 +4,11 @@
 k-regular spanning "residual" class plus black leftovers: it realizes pi - k
 deterministically, then fills the complement with a k-regular spanning
 subgraph.  The fill runs in stages: a greedy pairing pass and a circulant
-sweep for the common cases, then an exact complement search.  When pi - k's
+sweep for the common cases, then an exact complement search.  The pairing,
+which is also the Havel-Hakimi pass, keeps the vertices in one ascending
+list per remaining need instead of sorting them at every step: a step
+reads its partners off the lists from the highest need down and moves
+each partner down one list by bisection.  When pi - k's
 realization has no k-regular complement, the last stage starts over from
 the Havel-Hakimi realization of pi and applies two-switches, each chosen
 deterministically so that a maximum degree-<=k subgraph grows, until that
@@ -23,6 +27,7 @@ search runs once per missing edge end instead of n*k times."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from itertools import accumulate, islice
 
 from .coloring import BLACK, RESIDUAL, ColoredRealization, DegreeSequence
@@ -87,22 +92,36 @@ def _pair_off(target: list[int], forbidden: set[tuple[int, int]]) -> set[tuple[i
     first and ties by lowest id; the first vertex joins the first vertices
     after it whose pair with it is not forbidden.  Returns None when a vertex
     runs out of partners; a processed vertex's need is 0, so no edge repeats.
+
+    That order is kept, not rebuilt: one ascending id list per need, read
+    from the highest need down, is the order of a stable sort by need.  A
+    step costs its scan, which passes only the vertices forbidden to it,
+    plus a bisection and a list shift per partner as it moves down one
+    list: O(n + |F| + |E| (log n + n)) list steps for a pass at worst, for
+    |E| edges placed and |F| forbidden pairs, and no O(n log n) sort per step.
     """
-    n = len(target)
-    left = list(target)
+    by_need: list[list[int]] = [[] for _ in range(max(target, default=0) + 1)]
+    for i, t in enumerate(target):
+        if t > 0:
+            by_need[t].append(i)
     edges: set[tuple[int, int]] = set()
+    top = len(by_need) - 1
     while True:
-        order = sorted((i for i in range(n) if left[i] > 0), key=left.__getitem__, reverse=True)
-        if not order:
+        while top > 0 and not by_need[top]:
+            top -= 1
+        if top == 0:
             return edges
-        v = order[0]
-        need, left[v] = left[v], 0
-        partners = list(islice((w for w in order[1:] if edge(v, w) not in forbidden), need))
-        if len(partners) < need:
+        v = by_need[top].pop(0)
+        partners = list(islice(((d, w) for d in range(top, 0, -1) for w in by_need[d]
+                                if ((v, w) if v < w else (w, v)) not in forbidden), top))
+        if len(partners) < top:
             return None
-        for w in partners:
-            edges.add(edge(v, w))
-            left[w] -= 1
+        for d, w in partners:
+            edges.add((v, w) if v < w else (w, v))
+            row = by_need[d]
+            del row[bisect_left(row, w)]
+            if d > 1:
+                insort(by_need[d - 1], w)
 
 
 def havel_hakimi_realize(seq) -> SimpleGraph:
