@@ -96,20 +96,20 @@ def _pair_off(target: list[int], forbidden: set[tuple[int, int]]) -> set[tuple[i
     That order is kept, not rebuilt: one ascending id list per need, read
     from the highest need down, is the order of a stable sort by need.  A
     step costs its scan, which passes only the vertices forbidden to it,
-    plus a bisection and a list shift per partner as it moves down one
-    list: O(n + |F| + |E| (log n + n)) list steps for a pass at worst, for
-    |E| edges placed and |F| forbidden pairs, and no O(n log n) sort per step.
+    plus a bisection and a list shift (one memmove) per partner as it moves
+    down one list: O(n + |F| + |E| log n) steps and O(|E|) memmoves for a
+    pass, for |E| edges placed and |F| forbidden pairs, with no sort.
     """
-    by_need: list[list[int]] = [[] for _ in range(max(target, default=0) + 1)]
+    top = max(target, default=0)
+    by_need: list[list[int]] = [[] for _ in range(top + 1)]
     for i, t in enumerate(target):
         if t > 0:
             by_need[t].append(i)
     edges: set[tuple[int, int]] = set()
-    top = len(by_need) - 1
     while True:
         while top > 0 and not by_need[top]:
             top -= 1
-        if top == 0:
+        if top <= 0:
             return edges
         v = by_need[top].pop(0)
         partners = list(islice(((d, w) for d in range(top, 0, -1) for w in by_need[d]
