@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .coloring import certificate_from_realization, replay_trace
+from .coloring import certificate_from_realization, initial_coloring, replay_trace
 from .errors import (
     FactorpackError,
     InternalInvariantError,
@@ -95,13 +95,9 @@ def _certificate_text(cert_dict: dict) -> str:
 
 
 def _write_trace(path: str, real) -> None:
-    final = real.coloring_map()
-    initial = dict(final)
-    for batch in reversed(real.trace.batches):
-        for (e, old, _new) in reversed(batch.changes):
-            initial[e] = old
+    initial = initial_coloring(real)
     # sanity: replay must reproduce the final coloring
-    if replay_trace(real.n, initial, real.trace) != final:
+    if replay_trace(real.n, initial, real.trace) != real.coloring_map():
         raise InternalInvariantError("trace replay does not reproduce the final coloring")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(trace_to_dict(real.n, initial, real.trace), fh, indent=2)

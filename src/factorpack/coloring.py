@@ -156,6 +156,15 @@ def replay_trace(n: int, initial: dict[tuple[int, int], Color], trace: SwitchTra
     return colors
 
 
+def initial_coloring(real: ColoredRealization) -> dict[tuple[int, int], Color]:
+    """The coloring before the first batch of ``real.trace``: every batch undone, last first."""
+    colors = real.coloring_map()
+    for batch in reversed(real.trace.batches):
+        for (e, old, _new) in reversed(batch.changes):
+            colors[e] = old
+    return colors
+
+
 def _pair_index(n: int, u: int, v: int) -> int:
     # u < v assumed
     return u * (2 * n - u - 1) // 2 + (v - u - 1)

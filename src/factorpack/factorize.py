@@ -51,7 +51,7 @@ from .errors import (
 )
 from .graphs import SimpleGraph, cycles_of_two_regular, edge, euler_circuit
 from .matching import Matching, _maximize, lemma_odd_certificate
-from .realize import degree_sequence_checked, kundu_realize
+from .realize import kundu_realize
 from .switching import multi_switch, parallel_two_switch
 
 
@@ -310,7 +310,6 @@ def petersen_two_factorize(g: SimpleGraph, r: int) -> list[list[tuple[int, int]]
     if any(d != 2 * r for d in degrees) or r < 0:
         raise NotEvenRegular(f"degrees {sorted(set(degrees))} are not constant 2r with r={r}")
     n = g.n
-    # Rows of the bipartite graph, ascending, as maximum_matching would build them.
     rows: list[list[int]] = [[] for _ in range(2 * n)]
     for walk in euler_circuit(g):
         for a, b in zip(walk, walk[1:]):
@@ -358,11 +357,8 @@ def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization
 
 
 def _peeled(pi, k: int, seed: int, ones: int) -> ColoredRealization:
-    """Kundu's realization of (pi, k) with ``ones`` 1-factors peeled off its residual."""
-    ds = degree_sequence_checked(pi, k)
-    if ds.n % 2 != 0:
-        raise OddVertexCount(f"n={ds.n} must be even")
-    real = kundu_realize(ds, k, seed)
+    """Kundu's realization of (pi, k) with ``ones`` >= 1 1-factors peeled; the first peel rejects an odd n."""
+    real = kundu_realize(pi, k, seed)
     for _ in range(ones):
         peel_one_factor(real)
     return real

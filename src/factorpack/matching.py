@@ -235,7 +235,7 @@ def _augment_from(root: int, adj: list[list[int]], match: list[int],
             used[x] = False
 
 
-def _first_odd_cycle(adj: list[list[int]], mate: dict[int, int], root: int):
+def _first_odd_cycle(adj: list[list[int]], mate: list[int], root: int):
     """Grow the alternating tree from an uncovered root up to its first blossom.
 
     Breadth first, without contraction, rows in ascending order: the tree
@@ -252,11 +252,11 @@ def _first_odd_cycle(adj: list[list[int]], mate: dict[int, int], root: int):
                 return parent, x, y
             if y in parent:
                 continue
-            if y not in mate:
+            z = mate[y]
+            if z == -1:
                 raise InternalInvariantError(
                     f"augmenting path from {root} to uncovered {y}: matching was not maximum"
                 )
-            z = mate[y]
             parent[y] = x
             parent[z] = y
             outer.add(z)
@@ -279,17 +279,15 @@ def lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
     its tree to the first blossom; the matching is toggled along the stem, so
     the blossom's base becomes the uncovered vertex of that odd cycle.
     """
-    deg = g.degrees()
-    if g.n == 0 or any(d != deg[0] for d in deg) or deg[0] < 1:
-        raise NotRegular(f"graph degrees {sorted(set(deg))} are not r-regular with r >= 1")
-    m = maximum_matching(g)
-    covered = m.covered
-    uncovered = [v for v in range(g.n) if v not in covered]
-    adj = g.adjacency() if uncovered else []
+    adj = g.adjacency()
+    if g.n == 0 or any(len(row) != len(adj[0]) for row in adj) or not adj[0]:
+        raise NotRegular(f"graph degrees {sorted({len(row) for row in adj})} are not r-regular with r >= 1")
+    mate = [-1] * g.n
+    _maximize(adj, mate)
     cycles: dict[int, tuple[int, ...]] = {}
     claimed: set[int] = set()
-    for v in uncovered:
-        parent, x, y = _first_odd_cycle(adj, m.mate_map(), v)
+    for v in [v for v in range(g.n) if mate[v] == -1]:
+        parent, x, y = _first_odd_cycle(adj, mate, v)
         overlap = claimed.intersection(parent)
         if overlap:
             raise InternalInvariantError(
@@ -302,9 +300,12 @@ def lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
             j += 1
         z = px[j - 1]
         cycle = tuple(px[j - 1:]) + tuple(reversed(py[j:]))
-        m = toggle_alternating_path(m, px[:j])
+        for a, b in zip(px[:j - 1:2], px[1:j:2]):  # the stem root ... z: v covered, z uncovered
+            mate[a], mate[b] = b, a
+        mate[z] = -1
         cycles[z] = _canonical_cycle(cycle, z)
         claimed.update(cycle)
+    m = Matching(frozenset((v, w) for v, w in enumerate(mate) if w > v))
     return OddCycleCertificate(matching=m, cycles=cycles, graph=g)
 
 

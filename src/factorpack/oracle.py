@@ -270,23 +270,22 @@ def verify_certificate(pi, k: int, cert: FactorCertificate) -> VerifyReport:
             missing = sorted(set(range(n)) - touched)
             violations.append(("NotPerfectMatching", (f"one:{i}", "uncovered", missing)))
 
-    for i, f in enumerate(cert.two_factors):
+    def off_degree(edges, want: int) -> list[int]:
+        """The vertices whose degree in ``edges`` is not ``want``; out-of-range edges count at neither end."""
         deg = [0] * n
-        for (u, v) in f:
+        for (u, v) in edges:
             if 0 <= u < v < n:
                 deg[u] += 1
                 deg[v] += 1
-        bad_vertices = [v for v in range(n) if deg[v] != 2]
+        return [v for v in range(n) if deg[v] != want]
+
+    for i, f in enumerate(cert.two_factors):
+        bad_vertices = off_degree(f, 2)
         if bad_vertices:
             violations.append(("NotTwoRegular", (f"two:{i}", bad_vertices)))
 
     if cert.residual is not None:
-        deg = [0] * n
-        for (u, v) in cert.residual[1]:
-            if 0 <= u < v < n:
-                deg[u] += 1
-                deg[v] += 1
-        bad_vertices = [v for v in range(n) if deg[v] != residual_degree]
+        bad_vertices = off_degree(cert.residual[1], residual_degree)
         if bad_vertices:
             violations.append(("ResidualNotRegular", (residual_degree, bad_vertices)))
 

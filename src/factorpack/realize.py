@@ -127,10 +127,7 @@ def _pair_off(target: list[int], forbidden: set[tuple[int, int]]) -> set[tuple[i
 def havel_hakimi_realize(seq) -> SimpleGraph:
     """Deterministic realization: highest-degree vertex first, ties by lowest id."""
     ds = degree_sequence_checked(seq)
-    edges = _pair_off(list(ds.degrees), set())
-    if edges is None:
-        raise NotGraphic(f"{list(ds.degrees)} is not graphic")  # unreachable after the test
-    return SimpleGraph(ds.n, edges)
+    return SimpleGraph(ds.n, _pair_off(list(ds.degrees), set()))  # never None on a graphic sequence
 
 
 def switch_randomize(g: SimpleGraph, steps: int, seed: int) -> SimpleGraph:
@@ -318,7 +315,9 @@ def _greedy_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
 
 
 def _circulant_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
-    """Assemble the fill from whole circulant offset classes that avoid r."""
+    """Assemble the fill from whole circulant offset classes that avoid r.
+
+    Rings of distinct offsets up to n/2 share no pair, so each is tested against r alone."""
     n = r.n
     need = k
     fill: set[tuple[int, int]] = set()
@@ -333,10 +332,9 @@ def _circulant_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
     for off in range(1, (n - 1) // 2 + 1):
         if need < 2:
             break
-        ring = {edge(i, (i + off) % n) for i in range(n)}
-        if ring & r.edges or ring & fill:
+        if any(edge(i, (i + off) % n) in r.edges for i in range(n)):
             continue
-        fill |= ring
+        fill.update(edge(i, (i + off) % n) for i in range(n))
         need -= 2
     if need != 0:
         return None
@@ -381,12 +379,12 @@ def kundu_realize(pi, k: int, seed: int = 0) -> ColoredRealization:
     Deterministic: `seed` is accepted for compatibility and changes nothing.
     """
     ds = degree_sequence_checked(pi, k)
-    r = havel_hakimi_realize(DegreeSequence.of([d - k for d in ds.degrees]))
+    r = SimpleGraph(ds.n, _pair_off([d - k for d in ds.degrees], set()))  # HH(pi - k)
     fill = _greedy_fill(r, k)
     if fill is None:
         fill = _circulant_fill(r, k)
     if fill is None:
         fill = find_k_factor(r.complement(), k)
-    if fill is None:
-        r, fill = _switch_repair(havel_hakimi_realize(ds), k)  # a realization of pi holding the fill
+    if fill is None:  # switch HH(pi) into a realization of pi holding the fill
+        r, fill = _switch_repair(SimpleGraph(ds.n, _pair_off(list(ds.degrees), set())), k)
     return ColoredRealization(ds.n, {RESIDUAL: fill, BLACK: r.edges - fill}, {RESIDUAL: k})

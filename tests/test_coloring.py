@@ -19,6 +19,7 @@ from factorpack.coloring import (
     WHITE,
     Color,
     ColoredRealization,
+    initial_coloring,
     one_factor,
     two_factor,
 )
@@ -32,7 +33,6 @@ from factorpack.errors import (
 from factorpack.cli import _PIPELINES
 from factorpack.graphs import edge
 from tests.conftest import random_colored_realization
-from tests.test_factorize import initial_coloring
 from tests.test_realize import _perfbench_corpus
 
 

@@ -29,6 +29,7 @@ from factorpack.coloring import (
     WHITE,
     Color,
     DegreeSequence,
+    initial_coloring,
     make_colored_realization,
     one_factor,
     two_factor,
@@ -39,10 +40,15 @@ from factorpack.errors import (
     KTooSmall,
     NoResidual,
     NotEvenRegular,
+    NotGraphic,
+    NotGraphicMinusK,
     OddVertexCount,
+    PreconditionViolated,
     TooManyOneFactors,
 )
 from factorpack.graphs import all_pairs, connected_components, cycles_of_two_regular, edge
+from factorpack.oracle import enumerate_graphic
+from factorpack.realize import erdos_gallai_graphic_raw
 from tests.conftest import random_colored_realization, recount_colors
 
 
@@ -441,15 +447,6 @@ def test_least_bridge_matches_the_reference_scan(monkeypatch):
         assert scan(real, c1, c2, work) == reference_bridge(real, c1, c2, work)
 
 
-def initial_coloring(real):
-    """The coloring before the first batch, found by undoing the trace."""
-    initial = real.coloring_map()
-    for batch in reversed(real.trace.batches):
-        for (e, old, _new) in reversed(batch.changes):
-            initial[e] = old
-    return initial
-
-
 # --- four_ones ---
 
 def test_four_ones_k4_fully_factorized():
@@ -478,6 +475,39 @@ def test_four_ones_k6_with_residual_matching_left():
 def test_four_ones_propagates_parity_error():
     with pytest.raises(OddVertexCount):
         four_ones([2, 2, 2, 2, 2], 2)
+
+
+@pytest.mark.parametrize("pipeline,pi,k,error", [
+    (four_ones, [3, 1, 1], 0, PreconditionViolated),  # the k floor comes first
+    (half_k, [3, 1, 1], 3, KTooSmall),
+    (four_ones, [3, 1, 1], 1, NotGraphic),  # then pi, even at an odd n
+    (half_k, [3, 1, 1], 4, NotGraphic),
+    (four_ones, [3, 3, 1, 1], 1, NotGraphic),
+    (four_ones, [2, 2, 2], 3, NotGraphicMinusK),  # then pi - k, even at an odd n
+    (half_k, [4, 4, 4, 4, 4], 5, NotGraphicMinusK),
+    (half_k, [4, 4, 4, 4, 2, 2], 4, NotGraphicMinusK),
+    (four_ones, [2, 2, 2], 2, OddVertexCount),  # then the parity of n, at the first peel
+    (half_k, [4, 4, 4, 4, 4], 4, OddVertexCount),
+])
+def test_pipelines_raise_in_the_documented_order(pipeline, pi, k, error):
+    with pytest.raises(error):
+        pipeline(pi, k)
+
+
+def test_every_odd_n_request_is_realized_then_refused_by_its_first_peel():
+    """Kundu's realization exists at an odd n too, so only the peel refuses it."""
+    refused = 0
+    for n in (1, 3, 5, 7, 9):
+        for ds in enumerate_graphic(n, n - 1):
+            for k in range(1, n):
+                if not erdos_gallai_graphic_raw([d - k for d in ds.degrees]):
+                    continue
+                kundu_realize(ds.degrees, k).validate()
+                for pipeline in (four_ones, half_k) if k >= 4 else (four_ones,):
+                    with pytest.raises(OddVertexCount):
+                        pipeline(list(ds.degrees), k)
+                    refused += 1
+    assert refused > 2000, refused
 
 
 # --- petersen_two_factorize ---

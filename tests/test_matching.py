@@ -469,6 +469,23 @@ FIRST_BLOSSOM_DIFFERS = SimpleGraph.from_edges(21, [
 ])
 
 
+@pytest.mark.parametrize("g", [FIRST_BLOSSOM_DIFFERS, odd_cycle_union(random.Random(20261020))],
+                         ids=["first-blossom-differs", "odd-cycle-union"])
+def test_lemma_builds_the_adjacency_rows_once(monkeypatch, g):
+    """The matching, each tree and each stem toggle share one set of rows and one mate list."""
+    adjacency = SimpleGraph.adjacency
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return adjacency(self)
+
+    monkeypatch.setattr(SimpleGraph, "adjacency", counting)
+    cert = lemma_odd_certificate(g)
+    assert len(calls) == 1 and cert.cycles
+    assert check_odd_cycle_certificate(cert) == []
+
+
 def test_lemma_closes_the_first_blossom_where_the_reference_takes_another():
     cert = lemma_odd_certificate(FIRST_BLOSSOM_DIFFERS)
     ref = reference_lemma_odd_certificate(FIRST_BLOSSOM_DIFFERS)

@@ -213,6 +213,74 @@ def test_pair_off_matches_reference_as_the_greedy_fill_of_every_pack_regular_poi
     assert len(points) == 14 and 0 < filled < 14, filled  # the rest fill by circulant rings
 
 
+def reference_circulant_fill(r: SimpleGraph, k: int) -> set[tuple[int, int]] | None:
+    """Reference: ``_circulant_fill`` as it was, each ring built in full as a set and tested against r and the fill."""
+    n = r.n
+    need = k
+    fill: set[tuple[int, int]] = set()
+    if k % 2 == 1:
+        if n % 2 != 0:
+            return None
+        half = {edge(i, i + n // 2) for i in range(n // 2)}
+        if half & r.edges:
+            return None
+        fill |= half
+        need -= 1
+    for off in range(1, (n - 1) // 2 + 1):
+        if need < 2:
+            break
+        ring = {edge(i, (i + off) % n) for i in range(n)}
+        if ring & r.edges or ring & fill:
+            continue
+        fill |= ring
+        need -= 2
+    if need != 0:
+        return None
+    return fill
+
+
+def test_circulant_fill_matches_the_set_reference():
+    """HH(pi - k) of every pack-regular point, then random graphs r with n <= 40 and random k < n."""
+    points = sorted({(tuple(pi), k) for _mode, pi, k in _perfbench_corpus().build("pack-regular", 1)[0]})
+    for pi, k in points:
+        r = havel_hakimi_realize([d - k for d in pi])
+        got = _circulant_fill(r, k)
+        assert got == reference_circulant_fill(r, k), (len(pi), pi[0], k)
+        assert got is not None  # every point's r leaves room for whole rings
+    rng = random.Random(20261020)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.0, 0.02, 0.05, 0.1, 0.3))
+        r = SimpleGraph(n, {e for e in all_pairs(n) if rng.random() < p})
+        k = rng.randrange(n)
+        expected = reference_circulant_fill(r, k)
+        outcomes[expected is not None] += 1
+        assert _circulant_fill(r, k) == expected, (n, k, r.sorted_edges())
+    assert len(points) == 14 and min(outcomes.values()) >= 100, outcomes
+
+
+@pytest.mark.parametrize("build,pi,k", [
+    (kundu_realize, [3, 5, 5, 5, 5, 7, 7, 7], 1),  # unsorted, and reaches switch repair
+    (four_ones_realization, [3, 5, 5, 5, 5, 7, 7, 7], 1),
+    (half_k_realization, [6, 6, 5, 5, 5, 5, 5, 5], 4),
+])
+def test_a_request_runs_erdos_gallai_once_on_pi_and_once_on_pi_minus_k(monkeypatch, build, pi, k):
+    """Kundu's theorem needs pi and pi - k graphic; each is tested once, whichever pipeline takes the request."""
+    import factorpack.realize as realize
+
+    seen = []
+
+    def recording(sorted_desc):
+        seen.append(list(sorted_desc))
+        return erdos_gallai_graphic_raw(sorted_desc)
+
+    monkeypatch.setattr(realize, "erdos_gallai_graphic_raw", recording)
+    build(pi, k)
+    desc = sorted(pi, reverse=True)
+    assert seen == [desc, [d - k for d in desc]]
+
+
 def test_switch_randomize_identity_and_triangle():
     g = havel_hakimi_realize([2, 2, 2, 2])
     assert switch_randomize(g, 0, seed=5).edges == g.edges
