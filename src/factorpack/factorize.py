@@ -357,7 +357,7 @@ def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization
 
 
 def _peeled(pi, k: int, seed: int, ones: int) -> ColoredRealization:
-    """Kundu's realization of (pi, k) with ``ones`` >= 1 1-factors peeled; the first peel rejects an odd n."""
+    """Kundu's realization of (pi, k), then ``ones`` peels (at least one, which rejects an odd n)."""
     real = kundu_realize(pi, k, seed)
     for _ in range(ones):
         peel_one_factor(real)
