@@ -17,7 +17,7 @@ triangles = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
 assignments = [(e, RESIDUAL if e in triangles else WHITE) for e in all_pairs(6)]
 real = make_colored_realization(6, assignments, {RESIDUAL: 2})
 
-print("before: residual cycles:", cycles_of_two_regular(6, set(real.edges_of(RESIDUAL))))
+print("before: residual cycles:", cycles_of_two_regular(real.class_rows(RESIDUAL)))
 print()
 print("switch the white edge {1,4} against the residual edge {4,5} (u=1, v=5, w=4):")
 real, report = multi_switch(real, u=1, v=5, w=4, mode=WHITE)
@@ -30,7 +30,7 @@ for (e, old, new) in real.trace.batches[-1].changes:
     print(f"    {e}: {old} -> {new}")
 
 print()
-print("after: residual cycles:", cycles_of_two_regular(6, set(real.edges_of(RESIDUAL))))
+print("after: residual cycles:", cycles_of_two_regular(real.class_rows(RESIDUAL)))
 print("residual degrees stayed regular:", real.class_graph(RESIDUAL).degrees())
 print("realization degrees unchanged:", list(real.degrees))
 print()

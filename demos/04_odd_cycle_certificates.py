@@ -21,7 +21,7 @@ examples = {
 }
 
 for name, g in examples.items():
-    cert = lemma_odd_certificate(g)
+    cert = lemma_odd_certificate(g.adjacency())
     exact, _ = bf_max_matching(g)
     print(f"{name}: n={g.n}")
     print(f"  matching size {cert.matching.size} (brute force agrees: {exact})")

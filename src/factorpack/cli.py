@@ -154,7 +154,7 @@ def _cmd_petersen(args, out) -> int:
     if len(values) != 1 or (pi[0] % 2) != 0:
         raise NotEvenRegular(f"petersen needs a constant even sequence, got {pi}")
     g = havel_hakimi_realize(pi)
-    parts = petersen_two_factorize(g, pi[0] // 2)
+    parts = petersen_two_factorize(g.adjacency(), pi[0] // 2)
     _emit(out, {
         "n": g.n,
         "r": pi[0] // 2,

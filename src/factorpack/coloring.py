@@ -9,11 +9,15 @@ degree at every vertex.
 Colors are interned: ``Color(kind, index)`` returns one shared instance per
 pair, so comparing and hashing a color is a pointer operation.  Beside the
 array, a realization keeps the edge set of every class except white, so
-reading a class costs its size rather than a scan of K_n.  White, the
-complement of the realization, is never indexed: no pipeline reads it, and
-indexing it would hold a set entry for every non-edge.  A realization is
-built from its non-white classes, at their size; only this module knows
-the order of the pairs in the array.
+reading a class, as sorted edges or as ascending neighbour rows, costs its
+size rather than a scan of K_n.  White, the complement of the realization,
+is never indexed: no pipeline reads it, and indexing it would hold a set
+entry for every non-edge.  Every class, white included, also keeps one
+degree list, so a class checked at every vertex is one ``list.count``.  A
+class transition costs the batch it applies plus one such count per class
+it updates; white is rechecked only where the batch moved a white edge.  A
+realization is built from its non-white classes, at their size; only this
+module knows the order of the pairs in the array.
 
 Values are safe to share for reading; all mutation goes through
 ``apply_swap_batch`` which requires exclusive access (no internal locking).
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, groupby
 from operator import itemgetter
 
 from .errors import (
@@ -33,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     RegularityViolation,
 )
-from .graphs import SimpleGraph, all_pairs, edge
+from .graphs import SimpleGraph, all_pairs, edge, neighbour_rows
 
 # After a conserving batch (no declared_updates), recheck the regularity of
 # every class at the batch's endpoints when True; rely on the per-vertex
@@ -181,24 +184,22 @@ class ColoredRealization:
         self._colors = colors = [WHITE] * (n * (n - 1) // 2)
         self.declared = dict(declared)
         self.trace = SwitchTrace()
-        # Edge set of every class except white; apply_swap_batch keeps it current.
+        # Edge set of every class except white, and degree list of every
+        # class, white included; apply_swap_batch keeps both current.
         self._edges: dict[Color, set[tuple[int, int]]] = {}
-        class_degrees: list[tuple[Color, list[int]]] = []
+        self._deg: dict[Color, list[int]] = {}
         for c, class_edges in classes.items():
             self._edges[c] = edges = set(class_edges)
-            deg = [0] * n
+            self._deg[c] = deg = [0] * n
             for (u, v) in edges:
                 colors[u * (2 * n - u - 1) // 2 + v - u - 1] = c  # _pair_index, inline
                 deg[u] += 1
                 deg[v] += 1
-            class_degrees.append((c, deg))
-        self._counts: list[dict[Color, int]] = [{c: deg[x] for c, deg in class_degrees if deg[x]}
-                                                for x in range(n)]
         # Per-vertex realization degree, pinned at construction; switches must
-        # never change it (white counts stay n - 1 - d_v).
-        self.degrees = tuple(sum(row.values()) for row in self._counts)
-        for row, d in zip(self._counts, self.degrees):
-            row[WHITE] = n - 1 - d
+        # never change it, so white's degree list must stay ``_white``.
+        self.degrees = tuple(map(sum, zip(*self._deg.values()))) if classes else (0,) * n
+        self._white = [n - 1 - d for d in self.degrees]
+        self._deg[WHITE] = list(self._white)
         self.validate()
 
     # --- queries ---
@@ -223,6 +224,10 @@ class ColoredRealization:
         if c is WHITE:
             return [e for e, color in zip(all_pairs(self.n), self._colors) if color is WHITE]
         return sorted(self._edges.get(c, ()))
+
+    def class_rows(self, c: Color) -> list[list[int]]:
+        """Each vertex's neighbours in class c, ascending, built from the class index at its size."""
+        return neighbour_rows(self.n, self.edges_of(WHITE) if c is WHITE else self._edges.get(c, ()))
 
     def class_graph(self, c: Color) -> SimpleGraph:
         edges = set(self.edges_of(WHITE)) if c is WHITE else set(self._edges.get(c, ()))
@@ -251,41 +256,53 @@ class ColoredRealization:
         conserved every count, checking its endpoints raises exactly what the
         full check would: no other vertex's counts moved.
         """
-        checked = range(self.n) if vertices is None else sorted(vertices)
+        checked = None if vertices is None else sorted(vertices)
         self._check(lambda c: checked, checked)
 
     def _check(self, vertices_of, white_vertices) -> None:
-        """Check each declared class at ``vertices_of(class)``, in ``Color.sort_key`` order, then white."""
+        """Check each declared class at ``vertices_of(class)``, in ``Color.sort_key`` order, then white.
+
+        None stands for every vertex: one ``list.count`` tests the class, and
+        only a failing class is scanned, to name its first bad vertex.
+        """
+        n = self.n
         for c in sorted(self.declared, key=Color.sort_key):
             if not c.is_factor:
                 raise ValueError(f"{c} cannot be a declared class")
             m = self.declared[c]
-            for v in vertices_of(c):
-                actual = self._counts[v].get(c, 0)
-                if actual != m:
-                    raise RegularityViolation(v, c, m, actual)
+            deg = self._deg.get(c) or [0] * n
+            vertices = vertices_of(c)
+            if vertices is None:
+                if deg.count(m) == n:
+                    continue
+                vertices = range(n)
+            for v in vertices:
+                if deg[v] != m:
+                    raise RegularityViolation(v, c, m, deg[v])
+        white, pinned = self._deg[WHITE], self._white
+        if white_vertices is None:
+            if white == pinned:
+                return
+            white_vertices = range(n)
         for v in white_vertices:
-            non_white = self.n - 1 - self._counts[v].get(WHITE, 0)
-            if non_white != self.degrees[v]:
-                raise RegularityViolation(v, WHITE, self.n - 1 - self.degrees[v],
-                                          self._counts[v].get(WHITE, 0))
+            if white[v] != pinned[v]:
+                raise RegularityViolation(v, WHITE, pinned[v], white[v])
 
-    def _check_transition(self, changes, updated) -> None:
+    def _check_transition(self, changes, runs, updated) -> None:
         """After a class transition, check what it can break; raises what ``validate()`` raises first.
 
         Every check passed before the batch, and only the batch's endpoints
         changed counts.  So a class in ``updated`` is checked at every vertex,
-        any other class only at the endpoints where the batch moved it, and
-        white at every endpoint.
+        and any other class, white included, only at the endpoints where the
+        batch moved it: white not at all if no edge left or entered it.
         """
-        moved_at: dict[Color, set[int]] = {}
-        for (old, new), run in groupby(changes, key=itemgetter(1, 2)):
-            ends = set(chain.from_iterable(map(itemgetter(0), run)))
-            moved_at.setdefault(old, set()).update(ends)
-            moved_at.setdefault(new, set()).update(ends)
-        everywhere = range(self.n)
-        self._check(lambda c: everywhere if c in updated else sorted(moved_at.get(c, ())),
-                    sorted(set().union(*moved_at.values())))
+        moved_at: dict[Color, set[int]] = {}  # endpoints, for the checked classes not updated
+        for (old, new, i, j) in runs:
+            for c in (old, new):
+                if c not in updated and (c is WHITE or c in self.declared):
+                    moved_at.setdefault(c, set()).update(x for (e, _, _) in changes[i:j] for x in e)
+        self._check(lambda c: None if c in updated else sorted(moved_at.get(c, ())),
+                    sorted(moved_at.get(WHITE, ())))
 
     # --- mutation ---
 
@@ -296,15 +313,20 @@ class ColoredRealization:
         Without ``declared_updates`` every per-vertex per-color degree must be
         unchanged.  Deliberate class transitions pass ``declared_updates``
         (color -> new degree, or None to undeclare); the classes they update
-        are then revalidated at every vertex, and the classes the batch moved,
-        and white, at its endpoints.  If any check fails, the colors, the class index
-        and the declared degrees are restored and the batch is not traced.  An
-        edge outside K_n is rejected before anything changes.
+        are then revalidated at every vertex, and the other classes the batch
+        moved, white included, at the endpoints where it moved them.  If any
+        check fails, the colors, the class index, the degree lists and the
+        declared degrees are restored and the batch is not traced.  An edge
+        outside K_n is rejected before anything changes.  Each run of equal
+        (old, new) changes is applied with its index sets and degree lists
+        looked up once.
         """
-        n, colors, counts, index = self.n, self._colors, self._counts, self._edges
+        n, colors, deg, index = self.n, self._colors, self._deg, self._edges
         changes: list[tuple[tuple[int, int], Color, Color]] = []
         slots: list[int] = []  # each change's place in the color array
         seen: set[int] = set()
+        starts: list[tuple[Color, Color, int]] = []  # (old, new, first change) of each run of equal pairs
+        run_old = run_new = None
         for ((u, v), new_color) in batch:
             if u > v:
                 u, v = v, u
@@ -319,25 +341,28 @@ class ColoredRealization:
             old = colors[slot]
             if old is new_color:
                 raise PreconditionViolated(f"edge {(u, v)} already has color {new_color}")
+            if old is not run_old or new_color is not run_new:
+                run_old, run_new = old, new_color
+                starts.append((old, new_color, len(changes)))
             changes.append(((u, v), old, new_color))
             slots.append(slot)
+        stops = [first for (_, _, first) in starts[1:]] + [len(changes)]
+        runs = [(old, new, first, stop) for (old, new, first), stop in zip(starts, stops)]
 
         def apply(forward: bool):
-            for slot, (e, old, new) in zip(slots, changes):
+            for (old, new, i, j) in runs:
                 src, dst = (old, new) if forward else (new, old)
-                colors[slot] = dst
+                out, into = deg[src], deg.setdefault(dst, [0] * n)
+                for slot, ((u, v), _, _) in zip(slots[i:j], changes[i:j]):
+                    colors[slot] = dst
+                    out[u] -= 1
+                    out[v] -= 1
+                    into[u] += 1
+                    into[v] += 1
                 if src is not WHITE:
-                    index[src].remove(e)
+                    index[src].difference_update(map(itemgetter(0), changes[i:j]))
                 if dst is not WHITE:
-                    index.setdefault(dst, set()).add(e)
-                for x in e:
-                    row = counts[x]
-                    left = row[src] - 1
-                    if left:
-                        row[src] = left
-                    else:
-                        del row[src]
-                    row[dst] = row.get(dst, 0) + 1
+                    index.setdefault(dst, set()).update(map(itemgetter(0), changes[i:j]))
 
         apply(forward=True)
         declared = self.declared
@@ -355,7 +380,7 @@ class ColoredRealization:
                 if moved:
                     raise ConservationViolation(*min(moved, key=lambda t: (t[0], t[1].sort_key())))
             if declared_updates:
-                self._check_transition(changes, declared_updates)
+                self._check_transition(changes, runs, declared_updates)
             elif STRICT_VALIDATION:
                 self.validate({x for (e, _, _) in changes for x in e})
         except (ConservationViolation, RegularityViolation, ValueError):

@@ -49,9 +49,9 @@ from .errors import (
     PreconditionViolated,
     TooManyOneFactors,
 )
-from .graphs import SimpleGraph, cycles_of_two_regular, edge, euler_circuit
+from .graphs import cycles_of_two_regular, edge, euler_circuit
 from .matching import Matching, _maximize, lemma_odd_certificate
-from .realize import kundu_realize
+from .realize import _kundu_realization, degree_sequence_checked
 from .switching import multi_switch, parallel_two_switch
 
 
@@ -124,9 +124,9 @@ def merge_odd_cycle_pair(real: ColoredRealization, matching: Matching, c1, c2, w
         if len(cyc) % 2 == 0 or len(cyc) < 3:
             raise PreconditionViolated(f"{cyc} is not an odd cycle")
     cycle_edges = [edge(cyc[i], cyc[(i + 1) % len(cyc)]) for cyc in (c1, c2) for i in range(len(cyc))]
-    for e in cycle_edges:
-        if real.color_of(*e) != work:
-            raise PreconditionViolated(f"cycle edge {e} has color {real.color_of(*e)}, not {work}")
+    stray = [e for e in cycle_edges if e not in real._edges.get(work, ())]
+    if stray:
+        raise PreconditionViolated(f"cycle edge {stray[0]} has color {real.color_of(*stray[0])}, not {work}")
     vs = set(c1) | set(c2)
     if len(vs) != len(c1) + len(c2):
         raise PreconditionViolated("cycles share vertices")
@@ -265,7 +265,7 @@ def peel_one_factor(real: ColoredRealization) -> ColoredRealization:
         raise TooManyOneFactors("already four 1-factors: the cross-edge pigeonhole expires")
     if real.n % 2 != 0:
         raise OddVertexCount(f"n={real.n} is odd")
-    cert = lemma_odd_certificate(real.class_graph(RESIDUAL))
+    cert = lemma_odd_certificate(real.class_rows(RESIDUAL))
     return _complete_one_factor(
         real, RESIDUAL, cert.matching, [cert.cycles[h] for h in sorted(cert.cycles)],
         op="peel_one_factor", params={},
@@ -283,35 +283,35 @@ def _complete_one_factor(real: ColoredRealization, work: Color, m: Matching, odd
         raise InternalInvariantError("odd number of odd cycles on an even vertex count")
     for i in range(0, len(odd_cycles), 2):
         real, m, _case = merge_odd_cycle_pair(real, m, odd_cycles[i], odd_cycles[i + 1], work)
-    for e in m.edges:
-        if real.color_of(*e) != work:
-            raise InternalInvariantError(f"matching edge {e} left {work} during the merges")
+    if not m.edges <= real._edges[work]:
+        e = min(m.edges - real._edges[work])
+        raise InternalInvariantError(f"matching edge {e} left {work} during the merges")
     if not m.is_perfect(real.n):
         raise InternalInvariantError("the merges finished with an imperfect matching")
     idx = real.one_factor_count()
+    new = one_factor(idx)
     real.apply_swap_batch(
-        [(e, one_factor(idx)) for e in m.sorted_edges()],
+        [(e, new) for e in m.sorted_edges()],
         op=op,
         params={**params, "index": idx},
-        declared_updates={**declared_updates, one_factor(idx): 1},
+        declared_updates={**declared_updates, new: 1},
     )
     return real
 
 
-def petersen_two_factorize(g: SimpleGraph, r: int) -> list[list[tuple[int, int]]]:
-    """Split a 2r-regular graph into r edge-disjoint spanning 2-regular subgraphs.
+def petersen_two_factorize(adj: list[list[int]], r: int) -> list[list[tuple[int, int]]]:
+    """Split a 2r-regular graph, given by its ascending rows, into r edge-disjoint spanning 2-regular subgraphs.
 
     Petersen's proof: an Euler circuit of each component gives every vertex r
     arcs out and r arcs in, so the arcs a -> b, as edges (a, n + b), form an
     r-regular bipartite graph.  Each of its perfect matchings is a 2-factor;
-    remove one and the rest is (r - 1)-regular, so r matchings split g.
+    remove one and the rest is (r - 1)-regular, so r matchings split the graph.
     """
-    degrees = g.degrees()
-    if any(d != 2 * r for d in degrees) or r < 0:
-        raise NotEvenRegular(f"degrees {sorted(set(degrees))} are not constant 2r with r={r}")
-    n = g.n
+    if any(len(row) != 2 * r for row in adj) or r < 0:
+        raise NotEvenRegular(f"degrees {sorted({len(row) for row in adj})} are not constant 2r with r={r}")
+    n = len(adj)
     rows: list[list[int]] = [[] for _ in range(2 * n)]
-    for walk in euler_circuit(g):
+    for walk in euler_circuit(adj):
         for a, b in zip(walk, walk[1:]):
             rows[a].append(n + b)
             rows[n + b].append(a)
@@ -336,29 +336,28 @@ def convert_two_factor(real: ColoredRealization, f: Color) -> ColoredRealization
         raise PreconditionViolated(f"{f} is not a declared 2-factor class")
     if real.n % 2 != 0:
         raise OddVertexCount(f"n={real.n} is odd")
-    f_edges = real.edges_of(f)
-    cycles = cycles_of_two_regular(real.n, set(f_edges))
+    rows = real.class_rows(f)
+    cycles = cycles_of_two_regular(rows)
     real.apply_swap_batch(
-        [(e, BLACK) for e in f_edges],
+        [((u, v), BLACK) for u, row in enumerate(rows) for v in row if v > u],
         op="temp_black",
         params={"factor": str(f)},
         declared_updates={f: None},
     )
-    m_edges: set[tuple[int, int]] = set()
-    odd_cycles = []
-    for cyc in cycles:
-        if len(cyc) % 2 == 0:
-            m_edges |= {edge(cyc[i], cyc[i + 1]) for i in range(0, len(cyc), 2)}
-        else:
-            odd_cycles.append(cyc)
-    return _complete_one_factor(real, BLACK, Matching.from_edges(m_edges), odd_cycles,
+    m = Matching.from_edges((cyc[i], cyc[i + 1]) for cyc in cycles if len(cyc) % 2 == 0
+                            for i in range(0, len(cyc), 2))
+    odd_cycles = [cyc for cyc in cycles if len(cyc) % 2 != 0]
+    return _complete_one_factor(real, BLACK, m, odd_cycles,
                                 op="convert_two_factor", params={"factor": str(f)},
                                 declared_updates={})
 
 
-def _peeled(pi, k: int, seed: int, ones: int) -> ColoredRealization:
-    """Kundu's realization of (pi, k), then ``ones`` peels (at least one, which rejects an odd n)."""
-    real = kundu_realize(pi, k, seed)
+def _peeled(pi, k: int, ones: int) -> ColoredRealization:
+    """Kundu's realization of (pi, k), then ``ones`` peels; an odd n is refused before anything is built."""
+    ds = degree_sequence_checked(pi, k)
+    if ds.n % 2 != 0:
+        raise OddVertexCount(f"n={ds.n} is odd")
+    real = _kundu_realization(ds, k)
     for _ in range(ones):
         peel_one_factor(real)
     return real
@@ -368,7 +367,7 @@ def four_ones_realization(pi, k: int, seed: int = 0) -> ColoredRealization:
     """Realization with min(k, 4) peeled 1-factors and a max(k-4, 0)-regular residual."""
     if k < 1:
         raise PreconditionViolated(f"k must be >= 1, got {k}")
-    return _peeled(pi, k, seed, min(k, 4))
+    return _peeled(pi, k, min(k, 4))
 
 
 def four_ones(pi, k: int, seed: int = 0) -> FactorCertificate:
@@ -391,15 +390,16 @@ def half_k_realization(pi, k: int, seed: int = 0) -> ColoredRealization:
     """
     if k < 4:
         raise KTooSmall(f"k must be >= 4 (got {k}); below that the target exceeds k itself")
-    real = _peeled(pi, k, seed, 4 - k % 2)
+    real = _peeled(pi, k, 4 - k % 2)
     residual_degree = real.declared[RESIDUAL]
     if residual_degree > 0:
-        parts = petersen_two_factorize(real.class_graph(RESIDUAL), residual_degree // 2)
+        parts = petersen_two_factorize(real.class_rows(RESIDUAL), residual_degree // 2)
         declared_updates: dict[Color, int | None] = {RESIDUAL: 0}
         batch = []
         for j, part in enumerate(parts):
-            declared_updates[two_factor(j)] = 2
-            batch.extend((e, two_factor(j)) for e in part)
+            two = two_factor(j)
+            declared_updates[two] = 2
+            batch.extend((e, two) for e in part)
         real.apply_swap_batch(batch, op="petersen_split",
                               params={"parts": len(parts)}, declared_updates=declared_updates)
         for j in reversed(range(len(parts))):

@@ -35,13 +35,7 @@ class SimpleGraph:
         return cls(n, {edge(u, v) for (u, v) in edges})
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return adj
+        return neighbour_rows(self.n, self.edges)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -79,50 +73,62 @@ def connected_components(g: SimpleGraph) -> list[list[int]]:
     return comps
 
 
-def cycles_of_two_regular(n: int, edges: set[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """The cycles of a 2-regular edge set on 0 .. n-1: ``euler_circuit``'s walks less their closing vertex.
+def neighbour_rows(n: int, edges) -> list[list[int]]:
+    """Each vertex's neighbours among ``edges`` (pairs u < v), ascending: appended, then sorted per row."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        row.sort()
+    return rows
+
+
+def cycles_of_two_regular(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """The cycles of a 2-regular graph's rows: ``euler_circuit``'s walks less their closing vertex.
 
     Each starts at its smallest vertex and heads to that vertex's smaller
-    neighbour; cycles come ordered by smallest vertex.  O(n + |E| log |E|).
+    neighbour; cycles come ordered by smallest vertex.  O(n + |E|).
     ValueError names the lowest vertex whose degree is neither 0 nor 2.
     """
-    g = SimpleGraph.from_edges(n, edges)
-    for x, d in enumerate(g.degrees()):
-        if d not in (0, 2):
-            raise ValueError(f"vertex {x} has degree {d}, expected 2")
-    return [tuple(walk[:-1]) for walk in euler_circuit(g)]
+    for x, row in enumerate(rows):
+        if len(row) not in (0, 2):
+            raise ValueError(f"vertex {x} has degree {len(row)}, expected 2")
+    return [tuple(walk[:-1]) for walk in euler_circuit(rows)]
 
 
-def euler_circuit(g: SimpleGraph) -> list[list[int]]:
+def euler_circuit(rows: list[list[int]]) -> list[list[int]]:
     """A closed walk through all edges of each component that has any (Hierholzer); degrees must be even.
 
-    Walks start at their component's lowest vertex, so they come in that
-    order, and take the lowest unwalked edge at each vertex: edge ids index the
-    sorted edges, so each vertex's row of ids ascends by neighbour, and one
-    pointer per row skips walked ids.  O(|E| log |E|) to sort, then O(n + |E|).
+    ``rows`` are ascending neighbour rows.  Walks start at their component's
+    lowest vertex, so they come in that order, and take the lowest unwalked
+    edge at each vertex: edge ids are numbered in sorted edge order, so each
+    vertex's row of ids ascends with its row of neighbours, and one pointer
+    per row skips walked ids.  O(n + |E|).
     """
-    edges = g.sorted_edges()
-    rows: list[list[int]] = [[] for _ in range(g.n)]
-    for j, (u, v) in enumerate(edges):
-        rows[u].append(j)
-        rows[v].append(j)
-    walked = [False] * len(edges)
-    ptr = [0] * g.n
+    n = len(rows)
+    ids: list[list[int]] = [[] for _ in range(n)]  # ids[x][i] numbers the edge x - rows[x][i]
+    walked: list[bool] = []
+    for u, row in enumerate(rows):
+        for v in row[len(ids[u]):]:  # the ids of u's lower neighbours are already in place
+            ids[u].append(len(walked))
+            ids[v].append(len(walked))
+            walked.append(False)
+    ptr = [0] * n
     walks = []
-    for start in range(g.n):
+    for start in range(n):
         if ptr[start] == len(rows[start]):  # no edges, or its component is walked
             continue
         stack, walk = [start], []  # walk: vertices in the order Hierholzer closes them
         while stack:
             x = stack[-1]
-            row, i = rows[x], ptr[x]
+            row, i = ids[x], ptr[x]
             while i < len(row) and walked[row[i]]:
                 i += 1
             ptr[x] = i
             if i < len(row):
                 walked[row[i]] = True
-                u, v = edges[row[i]]
-                stack.append(v if u == x else u)
+                stack.append(rows[x][i])
             else:
                 walk.append(stack.pop())
         walks.append(walk[::-1])

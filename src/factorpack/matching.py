@@ -51,13 +51,6 @@ class Matching:
     def covered(self) -> frozenset[int]:
         return frozenset(x for e in self.edges for x in e)
 
-    def mate_map(self) -> dict[int, int]:
-        m: dict[int, int] = {}
-        for (u, v) in self.edges:
-            m[u] = v
-            m[v] = u
-        return m
-
     def is_perfect(self, n: int) -> bool:
         return 2 * self.size == n
 
@@ -70,12 +63,13 @@ class OddCycleCertificate:
     """A maximum matching plus one fully matched odd cycle per uncovered vertex.
 
     ``cycles`` maps each uncovered vertex to its cycle, written starting at
-    that vertex; consecutive pairs after it are matching edges.
+    that vertex; consecutive pairs after it are matching edges.  ``rows`` are
+    the host graph's ascending neighbour rows.
     """
 
     matching: Matching
     cycles: dict[int, tuple[int, ...]]
-    graph: SimpleGraph
+    rows: list[list[int]]
 
 
 def toggle_alternating_path(m: Matching, path) -> Matching:
@@ -272,21 +266,20 @@ def _tree_path(parent: dict[int, int], frm: int) -> list[int]:
     return out
 
 
-def lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
-    """Build the disjoint fully-matched-odd-cycle arrangement for a regular graph.
+def lemma_odd_certificate(adj: list[list[int]]) -> OddCycleCertificate:
+    """Build the disjoint fully-matched-odd-cycle arrangement for a regular graph's ascending rows.
 
     Each uncovered vertex of one maximum matching, in ascending order, grows
     its tree to the first blossom; the matching is toggled along the stem, so
     the blossom's base becomes the uncovered vertex of that odd cycle.
     """
-    adj = g.adjacency()
-    if g.n == 0 or any(len(row) != len(adj[0]) for row in adj) or not adj[0]:
+    if not adj or any(len(row) != len(adj[0]) for row in adj) or not adj[0]:
         raise NotRegular(f"graph degrees {sorted({len(row) for row in adj})} are not r-regular with r >= 1")
-    mate = [-1] * g.n
+    mate = [-1] * len(adj)
     _maximize(adj, mate)
     cycles: dict[int, tuple[int, ...]] = {}
     claimed: set[int] = set()
-    for v in [v for v in range(g.n) if mate[v] == -1]:
+    for v in [v for v, w in enumerate(mate) if w == -1]:
         parent, x, y = _first_odd_cycle(adj, mate, v)
         overlap = claimed.intersection(parent)
         if overlap:
@@ -306,7 +299,7 @@ def lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
         cycles[z] = _canonical_cycle(cycle, z)
         claimed.update(cycle)
     m = Matching(frozenset((v, w) for v, w in enumerate(mate) if w > v))
-    return OddCycleCertificate(matching=m, cycles=cycles, graph=g)
+    return OddCycleCertificate(matching=m, cycles=cycles, rows=adj)
 
 
 def _canonical_cycle(cycle: tuple[int, ...], start: int) -> tuple[int, ...]:
@@ -320,13 +313,13 @@ def _canonical_cycle(cycle: tuple[int, ...], start: int) -> tuple[int, ...]:
 
 def check_odd_cycle_certificate(cert: OddCycleCertificate) -> list[str]:
     """Linear-scan soundness check; returns a list of violation strings."""
-    g, m = cert.graph, cert.matching
+    m = cert.matching
+    host = {(u, v) for u, row in enumerate(cert.rows) for v in row if u < v}
     problems: list[str] = []
-    mate = m.mate_map()
     for (u, v) in m.edges:
-        if (u, v) not in g.edges:
+        if (u, v) not in host:
             problems.append(f"matching edge ({u}, {v}) not in host graph")
-    uncovered = {v for v in range(g.n) if v not in mate}
+    uncovered = set(range(len(cert.rows))) - m.covered
     if uncovered != set(cert.cycles):
         problems.append(f"cycle map keys {sorted(cert.cycles)} != uncovered {sorted(uncovered)}")
     seen: set[int] = set()
@@ -341,7 +334,7 @@ def check_odd_cycle_certificate(cert: OddCycleCertificate) -> list[str]:
         seen.update(cycle)
         for i in range(len(cycle)):
             e = edge(cycle[i], cycle[(i + 1) % len(cycle)])
-            if e not in g.edges:
+            if e not in host:
                 problems.append(f"cycle at {z} uses non-edge {e}")
         for i in range(1, len(cycle) - 1, 2):
             e = edge(cycle[i], cycle[i + 1])

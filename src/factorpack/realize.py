@@ -32,7 +32,7 @@ from itertools import accumulate, islice
 
 from .coloring import BLACK, RESIDUAL, ColoredRealization, DegreeSequence
 from .errors import InternalInvariantError, NotGraphic, NotGraphicMinusK, PreconditionViolated
-from .graphs import SimpleGraph, edge, euler_circuit
+from .graphs import SimpleGraph, edge, euler_circuit, neighbour_rows
 from .matching import _maximize
 
 
@@ -168,7 +168,7 @@ def _euler_round(n: int, half: list[tuple[int, int]]) -> list[tuple[int, int]]:
     which gives each vertex half its edges, except the start of an odd
     circuit, one short.  Cost: the walk's, O(n + |E| log |E|).
     """
-    return [edge(w[j], w[j + 1]) for w in euler_circuit(SimpleGraph(n, set(half)))
+    return [edge(w[j], w[j + 1]) for w in euler_circuit(neighbour_rows(n, half))
             for j in range(len(w) - 3, -1, -2)]
 
 
@@ -378,7 +378,11 @@ def kundu_realize(pi, k: int, seed: int = 0) -> ColoredRealization:
 
     Deterministic: `seed` is accepted for compatibility and changes nothing.
     """
-    ds = degree_sequence_checked(pi, k)
+    return _kundu_realization(degree_sequence_checked(pi, k), k)
+
+
+def _kundu_realization(ds: DegreeSequence, k: int) -> ColoredRealization:
+    """``kundu_realize`` on a request that ``degree_sequence_checked`` has passed."""
     r = SimpleGraph(ds.n, _pair_off([d - k for d in ds.degrees], set()))  # HH(pi - k)
     fill = _greedy_fill(r, k)
     if fill is None:

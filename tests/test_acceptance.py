@@ -150,7 +150,7 @@ def test_criterion_4_lemma_odd_oracle_equivalence():
         graphs.append(random_regular_graph(rng, n, r))
     violations = []
     for g in graphs:
-        cert = lemma_odd_certificate(g)
+        cert = lemma_odd_certificate(g.adjacency())
         exact, _ = bf_max_matching(g)
         if cert.matching.size != exact:
             violations.append(("size", g.sorted_edges(), cert.matching.size, exact))
@@ -176,7 +176,7 @@ def test_criterion_5_petersen_exactness():
     violations = []
     for g in cases:
         r = g.degrees()[0] // 2
-        parts = petersen_two_factorize(g, r)
+        parts = petersen_two_factorize(g.adjacency(), r)
         if len(parts) != r:
             violations.append(("count", g.sorted_edges()))
             continue

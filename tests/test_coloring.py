@@ -89,12 +89,12 @@ def test_regularity_violation_names_vertex_and_class():
 
 
 def _state(real):
-    """What a rejected batch must leave as it found: colors, per-vertex counts, class index, declared, trace.
+    """What a rejected batch must leave as it found: colors, per-class degree lists, class index, declared, trace.
 
-    Counts and classes are compared by content: a zero count or an empty
-    class reads as an absent one, and a rollback may drop or keep either.
+    Degree lists and classes are compared by content: an all-zero list or an
+    empty class reads as an absent one, and a rollback may drop or keep either.
     """
-    return (real.coloring_map(), [{c: m for c, m in row.items() if m} for row in real._counts],
+    return (real.coloring_map(), {c: list(deg) for c, deg in real._deg.items() if any(deg)},
             {c: set(es) for c, es in real._edges.items() if es}, dict(real.declared),
             len(real.trace.batches))
 
@@ -169,7 +169,7 @@ def test_empty_batch_is_identity():
 def test_partition_totality():
     real, _ = _four_vertex_instance()
     for v in range(real.n):
-        total = sum(real._counts[v].get(Color.parse(s), 0) for s in ("white", "black", "one:0"))
+        total = sum(real._deg[Color.parse(s)][v] for s in ("white", "black", "one:0"))
         assert total == real.n - 1
 
 
@@ -184,7 +184,7 @@ def test_trace_replay_reproduces_final_coloring():
 def test_white_consistency_invariant():
     real, _ = _four_vertex_instance()
     for v in range(real.n):
-        assert real._counts[v].get(WHITE, 0) == real.n - 1 - real.degrees[v]
+        assert real._deg[WHITE][v] == real.n - 1 - real.degrees[v]
 
 
 def test_out_of_range_edge_is_rejected_before_any_change():
@@ -371,15 +371,14 @@ def test_index_and_endpoint_validation_match_full_scans():
     assert all(seen[w] > 10 for w in wanted), seen
 
 
-def edge_by_edge_counts(n: int, classes) -> list[dict]:
-    """Per-vertex color counts, one dict update per edge end, white as n - 1 less the rest."""
-    counts = [{} for _ in range(n)]
+def edge_by_edge_counts(n: int, classes) -> dict:
+    """Per-class degree lists, one update per edge end, white as n - 1 less the rest."""
+    counts = {c: [0] * n for c in classes}
     for c, class_edges in classes.items():
         for e in class_edges:
             for x in e:
-                counts[x][c] = counts[x].get(c, 0) + 1
-    for row in counts:
-        row[WHITE] = n - 1 - sum(row.values())
+                counts[c][x] += 1
+    counts[WHITE] = [n - 1 - sum(deg[x] for deg in counts.values()) for x in range(n)]
     return counts
 
 
@@ -390,11 +389,11 @@ def test_counts_are_the_edge_by_edge_count_on_every_sweep_task(n):
     for mode, pi, k in tasks:
         start = kundu_realize(pi, k)
         classes = {c: start.edges_of(c) for c in (RESIDUAL, BLACK)}
-        assert start._counts == edge_by_edge_counts(n, classes), (pi, k)
+        assert start._deg == edge_by_edge_counts(n, classes), (pi, k)
         end = _PIPELINES[mode][0](pi, k, 0)
         classes = {c: end.edges_of(c) for c in (BLACK, *end.declared)}
         rebuilt = ColoredRealization(n, classes, end.declared)
-        assert rebuilt._counts == edge_by_edge_counts(n, classes), (mode, pi, k)
+        assert rebuilt._deg == edge_by_edge_counts(n, classes), (mode, pi, k)
         assert _state(end)[1] == _state(rebuilt)[1], (mode, pi, k)
     assert len(tasks) > (0 if n < 8 else 500), len(tasks)
 

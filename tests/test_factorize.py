@@ -28,6 +28,7 @@ from factorpack.coloring import (
     RESIDUAL,
     WHITE,
     Color,
+    ColoredRealization,
     DegreeSequence,
     initial_coloring,
     make_colored_realization,
@@ -260,7 +261,8 @@ def test_residual_merges_never_take_the_direct_bridge(monkeypatch):
 
 # The first instance of each case-table row in a scan of every
 # ``corpus.sweep_tasks(n)`` task for n = 4-10, in both modes.  No task there
-# reaches black-e4, parallel-e1e4 or parallel-e2e3 (docs/merge-cases.md).
+# reaches black-e4, parallel-e1e4 or parallel-e2e3 (docs/merge-cases.md); the
+# last three rows are the first n = 12 tasks that reach them, in the same scan.
 CASE_ROW_INSTANCES = [
     ("white-e1", RESIDUAL, "four-ones", [2] * 6, 2),
     ("white-e2", RESIDUAL, "four-ones", [5, 4, 3, 3, 3, 2], 2),
@@ -271,6 +273,9 @@ CASE_ROW_INSTANCES = [
     ("black-e3", RESIDUAL, "four-ones", [8, 8, 8, 6, 6, 6, 6, 4, 4, 4], 4),
     ("bridge", BLACK, "half-k", [6, 6, 6, 6, 5, 5, 5, 5, 5, 5], 5),
     ("black-switch", BLACK, "half-k", [6, 6, 5, 5, 5, 5, 5, 5, 5, 5], 5),
+    ("black-e4", RESIDUAL, "four-ones", [10, 9, 8, 7, 7, 7, 7, 6, 6, 6, 5, 4], 4),
+    ("parallel-e1e4", RESIDUAL, "four-ones", [9, 7, 7, 6, 6, 5, 5, 5, 5, 5, 5, 5], 5),
+    ("parallel-e2e3", RESIDUAL, "four-ones", [10, 6, 6, 6, 6, 6, 6, 6, 5, 5, 5, 5], 5),
 ]
 
 
@@ -328,7 +333,10 @@ def test_merge_guard_fires_on_a_recoloring_away_from_its_two_cycles(monkeypatch,
 
 
 def test_traced_pack_regular_pass_reads_no_sorted_class_in_a_merge():
-    """At seed 1 the pass made 513 ``edges_of`` calls when each merge sorted its work class twice."""
+    """At seed 1 the pass made 513 ``edges_of`` calls when each merge sorted its work class twice.
+
+    Each conversion sorted its 2-factor once more; it now reads the class's rows.
+    """
     import factorpack.factorize as factorize
     from tests.test_bench_tracing import TRACING
     from tests.test_realize import _perfbench_corpus
@@ -354,9 +362,56 @@ def test_traced_pack_regular_pass_reads_no_sorted_class_in_a_merge():
 
     reads = [i for i, name in enumerate(names) if name == "coloring.edges_of"]
     assert merges == 109 and not any(in_merge(i) for i in reads)
-    assert len(reads) == 513 - 2 * merges
+    conversions = names.count("factorize.convert_two_factor")
+    assert conversions == 74 and len(reads) == 513 - 2 * merges - conversions
     copies = [i for i, name in enumerate(names) if name == "coloring.class_graph"]
-    assert copies and not any(in_merge(i) for i in copies)
+    assert not copies
+
+
+def test_no_peel_split_or_conversion_builds_a_simple_graph(monkeypatch):
+    """Every peel, Petersen split and 2-factor conversion of a pack-regular and a dense-random pass at seed 1.
+
+    They read the class index's rows: none builds a ``SimpleGraph`` or copies a
+    class through ``class_graph``.  Kundu's realization, outside them, does.
+    """
+    import factorpack.factorize as factorize
+    from factorpack.graphs import SimpleGraph
+    from tests.test_realize import _perfbench_corpus
+
+    inside: list[str] = []
+    entered: dict[str, int] = {}
+    built: dict[str | None, int] = {}
+
+    def entering(name):
+        fn = getattr(factorize, name)
+
+        def wrapper(*args, **kwargs):
+            entered[name] = entered.get(name, 0) + 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(factorize, name, wrapper)
+
+    def counting(what, original):
+        def wrapper(self, *args):
+            key = (inside[-1] if inside else None, what)
+            built[key] = built.get(key, 0) + 1
+            return original(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(SimpleGraph, "__post_init__", counting("graph", SimpleGraph.__post_init__))
+    monkeypatch.setattr(ColoredRealization, "class_graph", counting("copy", ColoredRealization.class_graph))
+    for name in ("peel_one_factor", "petersen_two_factorize", "convert_two_factor"):
+        entering(name)
+    corpus = _perfbench_corpus()
+    for workload in ("pack-regular", "dense-random"):
+        for mode, pi, k in corpus.build(workload, 1)[0]:
+            (four_ones if mode == "four-ones" else half_k)(pi, k)
+    assert entered["peel_one_factor"] > 200 and entered["petersen_two_factorize"] > 50, entered
+    assert entered["convert_two_factor"] > 200, entered
+    assert set(built) == {(None, "graph")}, built
 
 
 def test_a_merge_matches_only_its_cycles_its_moved_edges_and_its_bridge(monkeypatch):
@@ -486,7 +541,7 @@ def test_four_ones_propagates_parity_error():
     (four_ones, [2, 2, 2], 3, NotGraphicMinusK),  # then pi - k, even at an odd n
     (half_k, [4, 4, 4, 4, 4], 5, NotGraphicMinusK),
     (half_k, [4, 4, 4, 4, 2, 2], 4, NotGraphicMinusK),
-    (four_ones, [2, 2, 2], 2, OddVertexCount),  # then the parity of n, at the first peel
+    (four_ones, [2, 2, 2], 2, OddVertexCount),  # then the parity of n, before anything is built
     (half_k, [4, 4, 4, 4, 4], 4, OddVertexCount),
 ])
 def test_pipelines_raise_in_the_documented_order(pipeline, pi, k, error):
@@ -494,8 +549,30 @@ def test_pipelines_raise_in_the_documented_order(pipeline, pi, k, error):
         pipeline(pi, k)
 
 
+@pytest.mark.parametrize("pipeline,pi,k", [
+    (four_ones, [2, 2, 2], 2),
+    (four_ones, [4] * 7, 2),
+    (half_k, [4, 4, 4, 4, 4], 4),
+    (half_k, [256] * 1023, 128),
+])
+def test_an_odd_n_request_is_refused_before_any_pairing(monkeypatch, pipeline, pi, k):
+    import factorpack.realize as realize
+
+    pair_off = realize._pair_off
+    calls = []
+
+    def counting(target, forbidden):
+        calls.append(len(target))
+        return pair_off(target, forbidden)
+
+    monkeypatch.setattr(realize, "_pair_off", counting)
+    with pytest.raises(OddVertexCount):
+        pipeline(pi, k)
+    assert calls == []
+
+
 def test_every_odd_n_request_is_realized_then_refused_by_its_first_peel():
-    """Kundu's realization exists at an odd n too, so only the peel refuses it."""
+    """Kundu's realization exists at an odd n too, so only the pipelines' parity check refuses it."""
     refused = 0
     for n in (1, 3, 5, 7, 9):
         for ds in enumerate_graphic(n, n - 1):
@@ -514,7 +591,7 @@ def test_every_odd_n_request_is_realized_then_refused_by_its_first_peel():
 
 def test_petersen_c5_is_its_own_two_factor():
     c5 = SimpleGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    parts = petersen_two_factorize(c5, 1)
+    parts = petersen_two_factorize(c5.adjacency(), 1)
     assert parts == [c5.sorted_edges()]
 
 
@@ -535,20 +612,20 @@ def _check_two_factorization(g, parts, r):
 
 def test_petersen_k5():
     k5 = SimpleGraph.from_edges(5, list(all_pairs(5)))
-    _check_two_factorization(k5, petersen_two_factorize(k5, 2), 2)
+    _check_two_factorization(k5, petersen_two_factorize(k5.adjacency(), 2), 2)
 
 
 def test_petersen_circulant_c8():
     edges = {edge(i, (i + 1) % 8) for i in range(8)} | {edge(i, (i + 2) % 8) for i in range(8)}
     g = SimpleGraph(8, edges)
-    _check_two_factorization(g, petersen_two_factorize(g, 2), 2)
+    _check_two_factorization(g, petersen_two_factorize(g.adjacency(), 2), 2)
 
 
 def test_petersen_splits_a_long_euler_circuit():
     # C_1500(1, 2, 3, 4): one component, a 6,000-arc circuit, a 3,000-vertex bipartite graph.
     n = 1500
     g = SimpleGraph(n, {edge(i, (i + off) % n) for i in range(n) for off in (1, 2, 3, 4)})
-    _check_two_factorization(g, petersen_two_factorize(g, 4), 4)
+    _check_two_factorization(g, petersen_two_factorize(g.adjacency(), 4), 4)
 
 
 def test_petersen_splits_every_component():
@@ -562,13 +639,13 @@ def test_petersen_splits_every_component():
         base += size
     g = SimpleGraph(n, edges)
     assert len(connected_components(g)) == 3
-    _check_two_factorization(g, petersen_two_factorize(g, 2), 2)
+    _check_two_factorization(g, petersen_two_factorize(g.adjacency(), 2), 2)
 
 
 def test_petersen_rejects_odd_regular():
     k4 = SimpleGraph.from_edges(4, list(all_pairs(4)))
     with pytest.raises(NotEvenRegular):
-        petersen_two_factorize(k4, 1)
+        petersen_two_factorize(k4.adjacency(), 1)
 
 
 # --- convert_two_factor ---

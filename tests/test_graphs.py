@@ -73,7 +73,7 @@ def reference_euler_round(n: int, half: list[tuple[int, int]]) -> list[tuple[int
 
 
 def assert_walks_match_the_references(g: SimpleGraph) -> None:
-    walks = euler_circuit(g)
+    walks = euler_circuit(g.adjacency())
     assert walks == [reference_euler_circuit(g, comp[0]) for comp in connected_components(g) if len(comp) > 1]
     assert sum(len(w) - 1 for w in walks) == len(g.edges)
     half = g.sorted_edges()
@@ -114,7 +114,7 @@ def test_euler_circuit_and_rounding_walk_as_the_references_on_seeded_graphs():
         assert_walks_match_the_references(g)
         if all(d in (0, 2) for d in g.degrees()):
             walks = [reference_euler_circuit(g, comp[0]) for comp in connected_components(g) if len(comp) > 1]
-            assert cycles_of_two_regular(g.n, g.edges) == [tuple(w[:-1]) for w in walks]
+            assert cycles_of_two_regular(g.adjacency()) == [tuple(w[:-1]) for w in walks]
             two_regular += 1
     assert len(graphs) > 70 and two_regular > 30
 
@@ -152,4 +152,4 @@ def test_rounding_walks_as_the_reference_on_the_bench_stage_inputs(monkeypatch):
 ])
 def test_cycles_of_two_regular_names_the_lowest_vertex_of_odd_degree(edges, lowest):
     with pytest.raises(ValueError, match=rf"^vertex {lowest} has degree [13], expected 2$"):
-        cycles_of_two_regular(10, edges)
+        cycles_of_two_regular(SimpleGraph.from_edges(10, edges).adjacency())

@@ -287,7 +287,7 @@ def test_root_step_as_the_reference_on_the_rows_of_every_split_round_and_merge(m
     assert calls["petersen_two_factorize"] > 100 and calls["_matching_on"] > 100, calls
     rng = random.Random(1597)
     for n, r in ((9, 1), (16, 2), (31, 3), (64, 4), (100, 5)):
-        factorize.petersen_two_factorize(random_regular_graph(rng, n, 2 * r), r)
+        factorize.petersen_two_factorize(random_regular_graph(rng, n, 2 * r).adjacency(), r)
     assert set(calls) == {"petersen_two_factorize", "_matching_on"}, calls
 
 
@@ -304,13 +304,13 @@ def test_maximum_matching_size_agrees_with_networkx():
 
 
 def test_lemma_odd_perfect_matching_case():
-    cert = lemma_odd_certificate(cycle_graph(4))
+    cert = lemma_odd_certificate(cycle_graph(4).adjacency())
     assert cert.matching.size == 2
     assert cert.cycles == {}
 
 
 def test_lemma_odd_triangle():
-    cert = lemma_odd_certificate(cycle_graph(3))
+    cert = lemma_odd_certificate(cycle_graph(3).adjacency())
     assert cert.matching.size == 1
     assert len(cert.cycles) == 1
     (z, cyc), = cert.cycles.items()
@@ -320,7 +320,7 @@ def test_lemma_odd_triangle():
 
 def test_lemma_odd_two_triangles():
     g = two_triangles()
-    cert = lemma_odd_certificate(g)
+    cert = lemma_odd_certificate(g.adjacency())
     assert cert.matching.size == bf_max_matching(g)[0] == 2
     assert len(cert.cycles) == 2
     assert {frozenset(c) for c in cert.cycles.values()} == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
@@ -329,14 +329,14 @@ def test_lemma_odd_two_triangles():
 
 def test_lemma_odd_rejects_irregular():
     with pytest.raises(NotRegular):
-        lemma_odd_certificate(SimpleGraph.from_edges(3, [(0, 1)]))
+        lemma_odd_certificate(SimpleGraph.from_edges(3, [(0, 1)]).adjacency())
 
 
 def test_lemma_odd_monotone_and_parity(rng):
     for _ in range(40):
         n, r = rng.choice([(8, 3), (9, 4), (10, 3), (7, 4)])
         g = random_regular_graph(rng, n, r)
-        cert = lemma_odd_certificate(g)
+        cert = lemma_odd_certificate(g.adjacency())
         uncovered = n - 2 * cert.matching.size
         assert uncovered % 2 == n % 2
         assert check_odd_cycle_certificate(cert) == []
@@ -355,10 +355,10 @@ def reference_lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
     m = maximum_matching(g)
     cycles: dict[int, tuple[int, ...]] = {}
     while True:
-        mate = m.mate_map()
+        mate = {x: y for (u, v) in m.edges for x, y in ((u, v), (v, u))}
         uncovered = [v for v in range(g.n) if v not in mate and v not in cycles]
         if not uncovered:
-            return OddCycleCertificate(matching=m, cycles=cycles, graph=g)
+            return OddCycleCertificate(matching=m, cycles=cycles, rows=adj)
         root = uncovered[0]
         parent, depth, outer = {root: -1}, {root: 0}, {root}
         q = deque([root])
@@ -392,7 +392,7 @@ def reference_lemma_odd_certificate(g: SimpleGraph) -> OddCycleCertificate:
 
 def assert_lemma_matches_the_reference(g: SimpleGraph) -> int:
     """The lemma's matching and cycles equal the reference's; returns the number of cycles."""
-    cert, ref = lemma_odd_certificate(g), reference_lemma_odd_certificate(g)
+    cert, ref = lemma_odd_certificate(g.adjacency()), reference_lemma_odd_certificate(g)
     assert (cert.matching, cert.cycles) == (ref.matching, ref.cycles), (g.n, g.sorted_edges())
     assert check_odd_cycle_certificate(cert) == []
     return len(cert.cycles)
@@ -422,9 +422,9 @@ def test_lemma_matches_the_reference_on_the_residual_classes_a_bench_pass_peels(
 
     graphs = []
 
-    def recording(g):
-        graphs.append(g)
-        return lemma_odd_certificate(g)
+    def recording(rows):
+        graphs.append(SimpleGraph.from_edges(len(rows), ((u, v) for u, row in enumerate(rows) for v in row if u < v)))
+        return lemma_odd_certificate(rows)
 
     monkeypatch.setattr(factorize, "lemma_odd_certificate", recording)
     corpus = _perfbench_corpus()
@@ -451,7 +451,7 @@ def test_lemma_and_the_reference_certify_seeded_regular_graphs():
         if g.degrees()[0] == 2:
             assert_lemma_matches_the_reference(g)
             continue
-        cert, ref = lemma_odd_certificate(g), reference_lemma_odd_certificate(g)
+        cert, ref = lemma_odd_certificate(g.adjacency()), reference_lemma_odd_certificate(g)
         assert check_odd_cycle_certificate(cert) == check_odd_cycle_certificate(ref) == []
         assert cert.matching.size == ref.matching.size
         uncovered += bool(cert.cycles)
@@ -472,7 +472,7 @@ FIRST_BLOSSOM_DIFFERS = SimpleGraph.from_edges(21, [
 @pytest.mark.parametrize("g", [FIRST_BLOSSOM_DIFFERS, odd_cycle_union(random.Random(20261020))],
                          ids=["first-blossom-differs", "odd-cycle-union"])
 def test_lemma_builds_the_adjacency_rows_once(monkeypatch, g):
-    """The matching, each tree and each stem toggle share one set of rows and one mate list."""
+    """The matching, each tree and each stem toggle share the caller's rows and one mate list."""
     adjacency = SimpleGraph.adjacency
     calls = []
 
@@ -480,14 +480,15 @@ def test_lemma_builds_the_adjacency_rows_once(monkeypatch, g):
         calls.append(self)
         return adjacency(self)
 
+    rows = g.adjacency()
     monkeypatch.setattr(SimpleGraph, "adjacency", counting)
-    cert = lemma_odd_certificate(g)
-    assert len(calls) == 1 and cert.cycles
+    cert = lemma_odd_certificate(rows)
+    assert calls == [] and cert.rows is rows and cert.cycles
     assert check_odd_cycle_certificate(cert) == []
 
 
 def test_lemma_closes_the_first_blossom_where_the_reference_takes_another():
-    cert = lemma_odd_certificate(FIRST_BLOSSOM_DIFFERS)
+    cert = lemma_odd_certificate(FIRST_BLOSSOM_DIFFERS.adjacency())
     ref = reference_lemma_odd_certificate(FIRST_BLOSSOM_DIFFERS)
     assert cert.cycles == {20: (20, 0, 1, 9, 7)}
     assert ref.cycles == {20: (20, 0, 1, 4, 17, 19, 13)}

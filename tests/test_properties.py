@@ -68,7 +68,7 @@ def _check(real, start, pi, k, mode):
     assert report.passed, (mode, report.violations)
     assert replay_trace(real.n, start, real.trace) == real.coloring_map(), mode
     table = recount_colors(real)
-    assert all(real._counts[v].get(c, 0) == count for (v, c), count in table.items()), mode
+    assert {(v, c): d for c, deg in real._deg.items() for v, d in enumerate(deg) if d} == table, mode
     for c, degree in real.declared.items():
         assert all(table.get((v, c), 0) == degree for v in range(real.n)), (mode, c)
     assert [real.n - 1 - table.get((v, WHITE), 0) for v in range(real.n)] == list(real.degrees)

@@ -566,6 +566,16 @@ def test_switch_repair_on_the_one_small_input_hh_misses():
     assert list(real.degrees) == pi
 
 
+def test_switch_repair_on_the_worst_n12_input():
+    """Of the 32 n = 12 requests whose switch repair applies a switch, this one needs the most trial searches."""
+    pi = [9, 8, 8, 8, 8, 8, 8, 6, 6, 1, 1, 1]
+    assert reaches_switch_repair(pi, 1)
+    assert find_k_factor(havel_hakimi_realize(pi), 1) is None
+    real = kundu_realize(pi, 1)
+    assert real.class_graph(RESIDUAL).degrees() == [1] * 12
+    assert list(real.degrees) == pi
+
+
 def test_four_ones_on_the_n20_k1_input():
     cert = four_ones(N20_K1, 1)
     assert verify_certificate(N20_K1, 1, cert).passed

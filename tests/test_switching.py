@@ -45,7 +45,7 @@ def test_multi_switch_guards_degree_inequality():
 def test_multi_switch_merges_two_triangles_into_six_cycle():
     real = residual_pair_of_triangles()
     real, report = multi_switch(real, 1, 5, 4, WHITE)
-    cycles = cycles_of_two_regular(6, set(real.edges_of(RESIDUAL)))
+    cycles = cycles_of_two_regular(real.class_rows(RESIDUAL))
     assert cycles == [(0, 2, 1, 4, 3, 5)]
     assert report.chain[-1][1][1] is WHITE
     assert real.class_graph(RESIDUAL).degrees() == [2] * 6
@@ -140,7 +140,7 @@ def test_parallel_two_switch_keeps_matching_perfect():
     parallel_two_switch(real, (0, 4), (1, 5), (0, 1), (4, 5))
     assert recount_colors(real) == before
     assert sorted(real.edges_of(one_factor(0))) == [(0, 1), (2, 3), (4, 5)]
-    cycles = cycles_of_two_regular(6, set(real.edges_of(RESIDUAL)))
+    cycles = cycles_of_two_regular(real.class_rows(RESIDUAL))
     assert len(cycles) == 1 and len(cycles[0]) == 6
 
 
