@@ -25,8 +25,8 @@ Values are safe to share for reading; all mutation goes through
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import (
@@ -49,7 +49,6 @@ _KIND_ORDER = {"white": 0, "black": 1, "residual": 2, "one": 3, "two": 4}
 _INTERNED: dict[tuple[str, int], "Color"] = {}
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Color:
     """Edge class id: white | black | residual | one(i) | two(i).
 
@@ -57,8 +56,7 @@ class Color:
     identity.  Copies and unpickled colors are the interned instance too.
     """
 
-    kind: str
-    index: int = -1
+    __slots__ = ("kind", "index")
 
     def __new__(cls, kind: str, index: int = -1) -> "Color":
         self = _INTERNED.get((kind, index))
@@ -76,8 +74,16 @@ class Color:
             _INTERNED[(kind, index)] = self
         return self
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Color is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
     def __reduce__(self):
         return (Color, (self.kind, self.index))
+
+    def __repr__(self) -> str:
+        return f"Color(kind={self.kind!r}, index={self.index!r})"
 
     @property
     def is_factor(self) -> bool:
@@ -112,11 +118,10 @@ def two_factor(i: int) -> Color:
     return Color("two", i)
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Non-increasing degree list."""
+class DegreeSequence(namedtuple("DegreeSequence", "degrees")):
+    """Non-increasing degree list: ``degrees``, a tuple of ints."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, values) -> "DegreeSequence":
@@ -132,20 +137,25 @@ class DegreeSequence:
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """One atomic recoloring: (edge, old color, new color) triples."""
+class Batch(namedtuple("Batch", "op params changes")):
+    """One atomic recoloring: its ``op``, ``params`` dict and (edge, old color, new color) ``changes``."""
 
-    op: str
-    params: dict
-    changes: tuple[tuple[tuple[int, int], Color, Color], ...]
+    __slots__ = ()
 
 
-@dataclass
 class SwitchTrace:
     """Replayable log of recoloring batches, in application order."""
 
-    batches: list[Batch] = field(default_factory=list)
+    __slots__ = ("batches",)
+
+    def __init__(self, batches: list[Batch] | None = None):
+        self.batches = [] if batches is None else batches
+
+    def __eq__(self, other):
+        return self.batches == other.batches if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SwitchTrace(batches={self.batches!r})"
 
 
 def replay_trace(n: int, initial: dict[tuple[int, int], Color], trace: SwitchTrace) -> dict[tuple[int, int], Color]:
@@ -412,18 +422,12 @@ def make_colored_realization(n: int, assignments, declared_degrees: dict[Color, 
     return ColoredRealization(n, classes, declared_degrees)
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
-    """Final deliverable: a realization split into declared factors plus leftovers."""
+class FactorCertificate(namedtuple(
+        "FactorCertificate", "n pi k mode one_factors two_factors residual black_edges")):
+    """Final deliverable: a realization split into declared factors plus leftovers.
+    ``mode`` is kundu | four-ones | half-k; ``residual`` is (degree, edges), or None in half-k."""
 
-    n: int
-    pi: tuple[int, ...]
-    k: int
-    mode: str  # kundu | four-ones | half-k
-    one_factors: tuple[tuple[tuple[int, int], ...], ...]
-    two_factors: tuple[tuple[tuple[int, int], ...], ...]
-    residual: tuple[int, tuple[tuple[int, int], ...]] | None
-    black_edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def certificate_from_realization(real: ColoredRealization, mode: str, k: int) -> FactorCertificate:

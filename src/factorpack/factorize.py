@@ -24,7 +24,7 @@ multi-switch when none exists.  That makes 4 + (k - 4)/2 or
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coloring import (
     BLACK,
@@ -55,21 +55,18 @@ from .realize import _kundu_realization, degree_sequence_checked
 from .switching import multi_switch, parallel_two_switch
 
 
-@dataclass(frozen=True)
-class TripleChoice:
-    """Three consecutive cycle vertices with non-increasing realization degrees."""
+class TripleChoice(namedtuple("TripleChoice", "cycle vertices direction")):
+    """Three consecutive cycle vertices with non-increasing realization degrees.
+    ``direction`` is +1 along the cycle's stored order, -1 against it."""
 
-    cycle: tuple[int, ...]
-    vertices: tuple[int, int, int]
-    direction: int  # +1 along the stored order, -1 against it
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CrossEdgeCase:
-    """Resolution of the four cross edges between two monotone triples."""
+class CrossEdgeCase(namedtuple("CrossEdgeCase", "edges resolution")):
+    """Resolution of the four cross edges between two monotone triples.
+    ``resolution`` is "bridge" | "white-e<i>" | "black-e<i>" | "parallel-e1e4" | "parallel-e2e3"."""
 
-    edges: tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]
-    resolution: str  # "bridge" | "white-e<i>" | "black-e<i>" | "parallel-e1e4" | "parallel-e2e3"
+    __slots__ = ()
 
 
 def monotone_triple(cycle, degrees) -> TripleChoice:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 
@@ -18,17 +17,24 @@ def all_pairs(n: int):
     return combinations(range(n), 2)
 
 
-@dataclass
 class SimpleGraph:
-    """Undirected simple graph: no loops, no parallel edges."""
+    """Undirected simple graph: no loops, no parallel edges; equal when ``(n, edges)`` are."""
 
-    n: int
-    edges: set[tuple[int, int]] = field(default_factory=set)
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: set[tuple[int, int]] | None = None):
+        self.n = n
+        self.edges = set() if edges is None else edges
         for (u, v) in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return (self.n, self.edges) == (other.n, other.edges) if same else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SimpleGraph":

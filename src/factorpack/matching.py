@@ -13,8 +13,7 @@ onto the cycle by toggling the tree path.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import (
     InternalInvariantError,
@@ -26,11 +25,10 @@ from .errors import (
 from .graphs import SimpleGraph, edge
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges."""
+class Matching(namedtuple("Matching", "edges")):
+    """A set of pairwise vertex-disjoint edges: ``edges``, a frozenset."""
 
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, edges) -> "Matching":
@@ -58,8 +56,7 @@ class Matching:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
-class OddCycleCertificate:
+class OddCycleCertificate(namedtuple("OddCycleCertificate", "matching cycles rows")):
     """A maximum matching plus one fully matched odd cycle per uncovered vertex.
 
     ``cycles`` maps each uncovered vertex to its cycle, written starting at
@@ -67,9 +64,7 @@ class OddCycleCertificate:
     the host graph's ascending neighbour rows.
     """
 
-    matching: Matching
-    cycles: dict[int, tuple[int, ...]]
-    rows: list[list[int]]
+    __slots__ = ()
 
 
 def toggle_alternating_path(m: Matching, path) -> Matching:

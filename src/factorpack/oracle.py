@@ -7,7 +7,7 @@ exhausted search, never a timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 
 from .coloring import DegreeSequence, FactorCertificate
@@ -201,13 +201,10 @@ def enumerate_graphic(n: int, d_max: int) -> list[DegreeSequence]:
     return [DegreeSequence.of(t) for t in out]
 
 
-@dataclass
-class VerifyReport:
-    """Result of certificate verification; passed iff violations is empty."""
+class VerifyReport(namedtuple("VerifyReport", "passed violations counts")):
+    """Result of certificate verification; passed iff violations, a list of (name, detail), is empty."""
 
-    passed: bool
-    violations: list[tuple[str, object]] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
 
 def verify_certificate(pi, k: int, cert: FactorCertificate) -> VerifyReport:

@@ -26,7 +26,6 @@ search runs once per missing edge end instead of n*k times."""
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, insort
 from itertools import accumulate, islice
 
@@ -132,6 +131,7 @@ def havel_hakimi_realize(seq) -> SimpleGraph:
 
 def switch_randomize(g: SimpleGraph, steps: int, seed: int) -> SimpleGraph:
     """Apply up to `steps` random degree-preserving two-switches; seed-deterministic."""
+    import random  # here, not at module level: nothing else needs it, and it slows every import
     rng = random.Random(seed)
     out = SimpleGraph(g.n, set(g.edges))
     edges = sorted(out.edges)

@@ -24,23 +24,22 @@ one of them participates in the applied swap set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coloring import BLACK, WHITE, Color, ColoredRealization
 from .errors import ChainStuck, PreconditionViolated
 from .graphs import edge
 
 
-@dataclass(frozen=True)
-class MultiSwitchReport:
-    """Audit record of one multi-switch (colors are pre-switch); its recolorings are the trace's last batch."""
+class MultiSwitchReport(namedtuple(
+        "MultiSwitchReport", "chain midpoints swapped_indices z1 z3_appeared_at consumed")):
+    """Audit record of one multi-switch (colors are pre-switch); its recolorings are the trace's last batch.
 
-    chain: tuple[tuple[tuple[tuple[int, int], Color], tuple[tuple[int, int], Color]], ...]
-    midpoints: tuple[int, ...]
-    swapped_indices: tuple[int, ...]  # 1-based chain positions in the applied swap set
-    z1: tuple[int, int]
-    z3_appeared_at: int | None  # 1-based chain position where z3 showed up as the v-side edge
-    consumed: str | None  # which of z1/z2 participates in the swap set
+    ``swapped_indices`` (the applied swap set) and ``z3_appeared_at`` (where z3 showed up as the
+    v-side edge, or None) are 1-based chain positions; ``consumed`` names which of z1/z2 joins
+    the swap set, or None."""
+
+    __slots__ = ()
 
 
 def multi_switch(real: ColoredRealization, u: int, v: int, w: int, mode: Color,

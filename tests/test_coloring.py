@@ -210,6 +210,11 @@ def test_colors_are_interned():
             assert pickle.loads(pickle.dumps(c, protocol)) is c
         assert copy.copy(c) is c
         assert copy.deepcopy([c])[0] is c
+        for attempt in (lambda: setattr(c, "kind", "black"), lambda: delattr(c, "index"),
+                        lambda: setattr(c, "extra", 1)):
+            with pytest.raises(AttributeError):
+                attempt()
+    assert repr(one_factor(3)) == "Color(kind='one', index=3)" and one_factor(3).index == 3
     for _ in range(2):  # a rejected color never enters the cache
         with pytest.raises(ValueError):
             Color("one")

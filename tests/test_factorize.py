@@ -401,7 +401,7 @@ def test_no_peel_split_or_conversion_builds_a_simple_graph(monkeypatch):
             return original(self, *args)
         return wrapper
 
-    monkeypatch.setattr(SimpleGraph, "__post_init__", counting("graph", SimpleGraph.__post_init__))
+    monkeypatch.setattr(SimpleGraph, "__init__", counting("graph", SimpleGraph.__init__))
     monkeypatch.setattr(ColoredRealization, "class_graph", counting("copy", ColoredRealization.class_graph))
     for name in ("peel_one_factor", "petersen_two_factorize", "convert_two_factor"):
         entering(name)
