@@ -1,50 +1,26 @@
 """Certify every n = 12 sweep task and count its cycle merges by case-table row and work color.
 
-Usage: python3 scripts/certify_n12.py [n]   (n defaults to 12; any even n works)
+Usage: python3 scripts/certify_n12.py
 
-Builds the task list of ``factorpack sweep --n 12`` once, from
-``oracle.enumerate_graphic`` and ``erdos_gallai_graphic_raw``, then runs every
-task in this process: the four-ones or half-k pipeline, its certificate, and
-``verify_certificate`` on it.  A task fails when the pipeline raises or the
-certificate does not verify.  Merges are counted by wrapping
-``factorize.merge_odd_cycle_pair``; its ``work`` argument is RESIDUAL when a
-peel merges residual cycles and BLACK when a 2-factor conversion merges black
-ones.  At n = 12 the list takes about 20 s to build and the run about 3 minutes
-on one core.  Exits 1 if any task fails.
+Runs ``factorpack sweep --n 12`` in this process (one worker), which builds
+the task list once, runs the four-ones or half-k pipeline of every task and
+verifies its certificate, then prints the sweep's JSON summary.  Merges are
+counted by wrapping ``factorize.merge_odd_cycle_pair``; its ``work`` argument
+is RESIDUAL when a peel merges residual cycles and BLACK when a 2-factor
+conversion merges black ones.  Exits with the sweep's exit code: 0 when every
+certificate verifies.
 """
 
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from factorpack import factorize  # noqa: E402
-from factorpack.coloring import certificate_from_realization  # noqa: E402
-from factorpack.errors import FactorpackError  # noqa: E402
-from factorpack.oracle import enumerate_graphic, verify_certificate  # noqa: E402
-from factorpack.realize import erdos_gallai_graphic_raw  # noqa: E402
-
-PIPELINES = {"four-ones": factorize.four_ones_realization, "half-k": factorize.half_k_realization}
+from factorpack import cli, factorize  # noqa: E402
 
 
-def sweep_tasks(n: int) -> list[tuple[str, tuple[int, ...], int]]:
-    """Every (mode, pi, k) that ``factorpack sweep --n n`` runs, in its order."""
-    tasks = []
-    for ds in enumerate_graphic(n, n - 1):
-        for k in range(1, n):
-            if erdos_gallai_graphic_raw([d - k for d in ds.degrees]):
-                tasks.extend((mode, ds.degrees, k) for mode in PIPELINES if mode == "four-ones" or k >= 4)
-    return tasks
-
-
-def main(n: int) -> int:
-    started = time.perf_counter()
-    tasks = sweep_tasks(n)
-    built = time.perf_counter()
-    print(f"n={n}: {len(tasks)} tasks, built in {built - started:.1f} s", flush=True)
-
+def main() -> int:
     merges: Counter = Counter()
     merge = factorize.merge_odd_cycle_pair
 
@@ -54,26 +30,11 @@ def main(n: int) -> int:
         return result
 
     factorize.merge_odd_cycle_pair = counting_merge
-    failures = []
-    slowest = (0.0, None)
     try:
-        for mode, pi, k in tasks:
-            t0 = time.perf_counter()
-            try:
-                cert = certificate_from_realization(PIPELINES[mode](pi, k), mode, k)
-                ok = verify_certificate(pi, k, cert).passed
-            except FactorpackError as exc:
-                ok = False
-                print(f"FAIL {mode} {list(pi)} k={k}: {exc!r}", flush=True)
-            slowest = max(slowest, (time.perf_counter() - t0, (mode, pi, k)))
-            if not ok:
-                failures.append((mode, pi, k))
+        code = cli.run(["sweep", "--n", "12"])
     finally:
         factorize.merge_odd_cycle_pair = merge
-    ran = time.perf_counter()
 
-    print(f"ran in {ran - built:.1f} s; {len(failures)} failures; "
-          f"slowest {1000 * slowest[0]:.1f} ms: {slowest[1]}")
     colors = sorted({color for _row, color in merges})
     rows = sorted({row for row, _color in merges}, key=lambda r: -sum(merges[(r, c)] for c in colors))
     print(f"{sum(merges.values())} merges")
@@ -83,8 +44,8 @@ def main(n: int) -> int:
               + "".join(f"{merges[(row, c)]:>10}" for c in colors))
     print(f"{'all':<14}{sum(merges.values()):>8}"
           + "".join(f"{sum(v for (_r, c), v in merges.items() if c == col):>10}" for col in colors))
-    return 1 if failures else 0
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 12))
+    sys.exit(main())
