@@ -13,10 +13,11 @@ reading a class, as sorted edges or as ascending neighbour rows, costs its
 size rather than a scan of K_n.  White, the complement of the realization,
 is never indexed: no pipeline reads it, and indexing it would hold a set
 entry for every non-edge.  Every class, white included, also keeps one
-degree list, so a class checked at every vertex is one ``list.count``.  A
-class transition costs the batch it applies plus one such count per class
-it updates; white is rechecked only where the batch moved a white edge.  A
-realization is built from its non-white classes, at their size; only this
+degree list, so a class checked at every vertex is one ``list.count``.
+``validate`` is the one regularity check: every declared class and white,
+at every vertex, after construction, after every class transition and,
+under ``STRICT_VALIDATION``, after every conserving batch.
+A realization is built from its non-white classes, at their size; only this
 module knows the order of the pairs in the array.
 
 Values are safe to share for reading; all mutation goes through
@@ -38,11 +39,10 @@ from .errors import (
 )
 from .graphs import SimpleGraph, all_pairs, edge, neighbour_rows
 
-# After a conserving batch (no declared_updates), recheck the regularity of
-# every class at the batch's endpoints when True; rely on the per-vertex
-# conservation check alone when False.  Conservation already proves that no
-# count moved, so the recheck is a second guard.  A class transition is always
-# revalidated: its updated classes at every vertex, the rest at its endpoints.
+# After a conserving batch (no declared_updates) passes its per-vertex
+# conservation check, also run ``validate()`` when True; rely on conservation
+# alone when False.  Conservation already proves that no count moved, so the
+# check is a second guard.  A class transition always runs ``validate()``.
 STRICT_VALIDATION = True
 
 _KIND_ORDER = {"white": 0, "black": 1, "residual": 2, "one": 3, "two": 4}
@@ -184,7 +184,11 @@ def _pair_index(n: int, u: int, v: int) -> int:
 
 
 class ColoredRealization:
-    """K_n's pairs colored by ``classes``, each non-white color's edges (disjoint, u < v), and white."""
+    """K_n's pairs colored by ``classes``, each non-white color's edges (disjoint, u < v), and white.
+
+    An edge outside ``0 <= u < v < n`` raises ValueError, and so does white
+    passed as a class; a pair in two classes raises DuplicateEdge.
+    """
 
     def __init__(self, n: int, classes: dict[Color, Iterable[tuple[int, int]]],
                  declared: dict[Color, int]):
@@ -199,10 +203,17 @@ class ColoredRealization:
         self._edges: dict[Color, set[tuple[int, int]]] = {}
         self._deg: dict[Color, list[int]] = {}
         for c, class_edges in classes.items():
+            if c is WHITE:
+                raise ValueError("white is the complement of the classes, not one of them")
             self._edges[c] = edges = set(class_edges)
             self._deg[c] = deg = [0] * n
             for (u, v) in edges:
-                colors[u * (2 * n - u - 1) // 2 + v - u - 1] = c  # _pair_index, inline
+                if not 0 <= u < v < n:
+                    raise ValueError(f"edge {(u, v)} out of range for n={n}")
+                slot = u * (2 * n - u - 1) // 2 + v - u - 1  # _pair_index, inline
+                if colors[slot] is not WHITE:
+                    raise DuplicateEdge(f"edge {(u, v)} is both {colors[slot]} and {c}")
+                colors[slot] = c
                 deg[u] += 1
                 deg[v] += 1
         # Per-vertex realization degree, pinned at construction; switches must
@@ -259,21 +270,12 @@ class ColoredRealization:
 
     # --- validation ---
 
-    def validate(self, vertices=None) -> None:
-        """Check declared regularity and that white degrees still match pi.
+    def validate(self) -> None:
+        """Check every declared class, in ``Color.sort_key`` order, then white against pi.
 
-        ``vertices`` limits the check to those vertices.  After a batch that
-        conserved every count, checking its endpoints raises exactly what the
-        full check would: no other vertex's counts moved.
-        """
-        checked = None if vertices is None else sorted(vertices)
-        self._check(lambda c: checked, checked)
-
-    def _check(self, vertices_of, white_vertices) -> None:
-        """Check each declared class at ``vertices_of(class)``, in ``Color.sort_key`` order, then white.
-
-        None stands for every vertex: one ``list.count`` tests the class, and
-        only a failing class is scanned, to name its first bad vertex.
+        Each class is checked at every vertex by one ``list.count`` on its
+        degree list; only a failing class is scanned, to name its lowest bad
+        vertex.
         """
         n = self.n
         for c in sorted(self.declared, key=Color.sort_key):
@@ -281,38 +283,13 @@ class ColoredRealization:
                 raise ValueError(f"{c} cannot be a declared class")
             m = self.declared[c]
             deg = self._deg.get(c) or [0] * n
-            vertices = vertices_of(c)
-            if vertices is None:
-                if deg.count(m) == n:
-                    continue
-                vertices = range(n)
-            for v in vertices:
-                if deg[v] != m:
-                    raise RegularityViolation(v, c, m, deg[v])
+            if deg.count(m) != n:
+                v = next(v for v in range(n) if deg[v] != m)
+                raise RegularityViolation(v, c, m, deg[v])
         white, pinned = self._deg[WHITE], self._white
-        if white_vertices is None:
-            if white == pinned:
-                return
-            white_vertices = range(n)
-        for v in white_vertices:
-            if white[v] != pinned[v]:
-                raise RegularityViolation(v, WHITE, pinned[v], white[v])
-
-    def _check_transition(self, changes, runs, updated) -> None:
-        """After a class transition, check what it can break; raises what ``validate()`` raises first.
-
-        Every check passed before the batch, and only the batch's endpoints
-        changed counts.  So a class in ``updated`` is checked at every vertex,
-        and any other class, white included, only at the endpoints where the
-        batch moved it: white not at all if no edge left or entered it.
-        """
-        moved_at: dict[Color, set[int]] = {}  # endpoints, for the checked classes not updated
-        for (old, new, i, j) in runs:
-            for c in (old, new):
-                if c not in updated and (c is WHITE or c in self.declared):
-                    moved_at.setdefault(c, set()).update(x for (e, _, _) in changes[i:j] for x in e)
-        self._check(lambda c: None if c in updated else sorted(moved_at.get(c, ())),
-                    sorted(moved_at.get(WHITE, ())))
+        if white != pinned:
+            v = next(v for v in range(n) if white[v] != pinned[v])
+            raise RegularityViolation(v, WHITE, pinned[v], white[v])
 
     # --- mutation ---
 
@@ -321,15 +298,14 @@ class ColoredRealization:
         """Atomically recolor the given (edge, new color) pairs.
 
         Without ``declared_updates`` every per-vertex per-color degree must be
-        unchanged.  Deliberate class transitions pass ``declared_updates``
-        (color -> new degree, or None to undeclare); the classes they update
-        are then revalidated at every vertex, and the other classes the batch
-        moved, white included, at the endpoints where it moved them.  If any
-        check fails, the colors, the class index, the degree lists and the
-        declared degrees are restored and the batch is not traced.  An edge
-        outside K_n is rejected before anything changes.  Each run of equal
-        (old, new) changes is applied with its index sets and degree lists
-        looked up once.
+        unchanged, and ``validate()`` follows under ``STRICT_VALIDATION``.
+        Deliberate class transitions pass ``declared_updates`` (color -> new
+        degree, or None to undeclare) and are always followed by
+        ``validate()``.  If any check fails, the colors, the class index, the
+        degree lists and the declared degrees are restored and the batch is
+        not traced.  An edge outside K_n is rejected before anything changes.
+        Each run of equal (old, new) changes is applied with its index sets
+        and degree lists looked up once.
         """
         n, colors, deg, index = self.n, self._colors, self._deg, self._edges
         changes: list[tuple[tuple[int, int], Color, Color]] = []
@@ -389,10 +365,8 @@ class ColoredRealization:
                 moved = [(x, c, d) for (x, c), d in delta.items() if d != 0]
                 if moved:
                     raise ConservationViolation(*min(moved, key=lambda t: (t[0], t[1].sort_key())))
-            if declared_updates:
-                self._check_transition(changes, runs, declared_updates)
-            elif STRICT_VALIDATION:
-                self.validate({x for (e, _, _) in changes for x in e})
+            if declared_updates or STRICT_VALIDATION:
+                self.validate()
         except (ConservationViolation, RegularityViolation, ValueError):
             apply(forward=False)
             self.declared = declared

@@ -80,6 +80,17 @@ def test_missing_and_duplicate_edges():
         make_colored_realization(3, [((0, 1), BLACK), ((1, 0), WHITE), ((0, 2), BLACK), ((1, 2), BLACK)], {})
 
 
+def test_constructor_rejects_pairs_outside_k_n_and_pairs_colored_twice():
+    for classes in ({BLACK: [(3, 1)]}, {BLACK: [(0, 7)]}, {BLACK: [(2, 2)]}, {BLACK: [(-1, 2)]},
+                    {WHITE: [(0, 1)]}, {WHITE: [(0, 1)], BLACK: [(0, 1)]}):
+        with pytest.raises(ValueError):
+            ColoredRealization(4, classes, {})
+    for classes in ({BLACK: [(0, 1)], RESIDUAL: [(0, 1)]}, {one_factor(0): [(0, 1), (2, 3)], BLACK: [(2, 3)]}):
+        with pytest.raises(DuplicateEdge):
+            ColoredRealization(4, classes, {})
+    assert ColoredRealization(4, {BLACK: [(1, 3), (1, 3)]}, {}).degrees == (0, 1, 0, 1)
+
+
 def test_regularity_violation_names_vertex_and_class():
     asg = [((0, 1), RESIDUAL), ((0, 2), RESIDUAL), ((1, 2), WHITE)]
     with pytest.raises(RegularityViolation) as info:
@@ -224,10 +235,22 @@ def test_colors_are_interned():
 
 
 class FullValidation(ColoredRealization):
-    """Reference realization: every check after a batch covers every class at every vertex."""
+    """Reference realization: its check counts every class at every vertex from the coloring itself."""
 
-    def _check(self, vertices_of, white_vertices):
-        super()._check(lambda c: range(self.n), range(self.n))
+    def validate(self):
+        counts = Counter()
+        for (u, v), c in self.coloring_map().items():
+            counts[u, c] += 1
+            counts[v, c] += 1
+        for c in sorted(self.declared, key=Color.sort_key):
+            if not c.is_factor:
+                raise ValueError(f"{c} cannot be a declared class")
+            for v in range(self.n):
+                if counts[v, c] != self.declared[c]:
+                    raise RegularityViolation(v, c, self.declared[c], counts[v, c])
+        for v in range(self.n):
+            if counts[v, WHITE] != self.n - 1 - self.degrees[v]:
+                raise RegularityViolation(v, WHITE, self.n - 1 - self.degrees[v], counts[v, WHITE])
 
 
 def _raised(call):
@@ -329,14 +352,7 @@ def test_index_and_endpoint_validation_match_full_scans():
                 (batch, updates), kind = _transition(rng, real), "transition"
             else:
                 (batch, updates), kind = _corrupted(rng, real, palette), "corrupted"
-            before, state = real.coloring_map(), _state(real)
-            if kind == "corrupted":
-                # Only the batch's endpoints change counts, so the endpoint check
-                # must raise exactly what the full check raises.
-                bad = make_colored_realization(n, list({**before, **dict(batch)}.items()), {})
-                bad.declared, bad.degrees = dict(real.declared), real.degrees
-                endpoints = {x for e, _ in batch for x in e}
-                assert _outcome(lambda: bad.validate(endpoints)) == _outcome(bad.validate)
+            state = _state(real)
             got = _outcome(lambda: real.apply_swap_batch(batch, declared_updates=updates))
             assert got == _outcome(lambda: twin.apply_swap_batch(batch, declared_updates=updates))
             assert real.coloring_map() == twin.coloring_map()
